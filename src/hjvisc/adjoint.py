@@ -81,8 +81,8 @@ def solve_adjoint_stationary(model: HamiltonianModel, u: ScalarField, lam: float
     must stay within 1e-6 of 1 and is recorded on the returned field.
     """
     grid = u.grid
-    if not (lam > 0.0 and eps > 0.0):
-        raise ValueError("lambda and eps must be positive")
+    if not (lam > 0.0 and math.isfinite(lam) and eps > 0.0 and math.isfinite(eps)):
+        raise ValueError(f"lambda and eps must be positive and finite, got {lam!r}, {eps!r}")
     if not (0 <= x0_index < grid.n):
         raise ValueError(f"x0_index {x0_index} outside 0..{grid.n - 1}")
 
@@ -120,8 +120,8 @@ def evolve_fokker_planck(drift: ScalarField, eps: float, x0_index: int,
     grid = drift.grid
     if dt is None:
         dt = grid.h
-    if not (eps > 0.0 and dt > 0.0):
-        raise ValueError("eps and dt must be positive")
+    if not all(v > 0.0 and math.isfinite(v) for v in (eps, dt, t_final)):
+        raise ValueError(f"eps, dt, t_final must be positive and finite: {eps}, {dt}, {t_final}")
     if t_final < dt:
         raise ValueError("horizon shorter than one step")
     if not (0 <= x0_index < grid.n):

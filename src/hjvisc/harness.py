@@ -162,7 +162,7 @@ def run_sweep(model: HamiltonianModel, alpha: float,
 
     The inviscid reference is the pendulum branch ODE when the model is the
     pendulum (sampled on the same torus nodes; n must be even for that) and
-    the Lax-Friedrichs fixed point otherwise. A failing point is dropped from
+    the Lax-Friedrichs scheme otherwise. A failing point is dropped from
     the records and reported in failed_lambdas. All-zero gaps (flat model)
     fit degenerately to slope = intercept = r_squared = 0.
     """

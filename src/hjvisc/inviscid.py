@@ -5,8 +5,9 @@ Two independent routes to u_lambda with eps = 0:
 * the pendulum admits the explicit branch ODE
       u'(x) = sqrt(2 * (1 - cos x - lambda * u)),  u(0) = 0  on [0, pi],
   extended to the torus by the even reflection u(2*pi - x) = u(x);
-* a relaxed Lax-Friedrichs iteration works for any Tonelli model and serves
-  as the cross oracle.
+* the monotone Lax-Friedrichs scheme, which is the viscous equation at
+  eps = sigma*h/2 solved by damped Newton, works for any Tonelli model and
+  serves as the cross oracle.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import math
 
 import numpy as np
 
-from .core import ConvergenceError, Grid1D, HamiltonianModel, ScalarField, SolveReport, TWO_PI
+from .core import (ConvergenceError, Grid1D, HamiltonianModel, ScalarField, SolveReport,
+                   TWO_PI, central_gradient)
+from .viscous import ViscousOptions, solve_viscous
 
 RADICAND_REJECT = -1e-8
 
@@ -73,47 +76,38 @@ def solve_pendulum_ode(lam: float, n_half: int) -> ScalarField:
 
 
 def solve_discounted_lax_friedrichs(model: HamiltonianModel, lam: float, grid: Grid1D,
-                                    sigma: float, tol: float = 1e-8,
-                                    max_iters: int = 5_000_000
+                                    sigma: float, tol: float = 1e-8
                                     ) -> tuple[ScalarField, SolveReport]:
-    """Fixed point of the relaxed monotone update
+    """Solve the monotone Lax-Friedrichs scheme
 
-        u_j <- u_j - omega * [lambda*u_j + H(x_j, (D+ + D-)/2) - (sigma/2)(D+ - D-)]
+        lambda*u_j + H(x_j, (D+ + D-)/2) - (sigma/2)(D+ - D-) = 0,
 
-    with omega = h / (sigma + lambda*h), the largest relaxation keeping the
-    update monotone when sigma dominates |dH/dp| on the iterates. Returns when
-    the update inf-norm drops to tol * lambda (discounted contraction
-    certificate); diverging iterates are rejected with a hint to raise sigma.
+    which is the viscous equation at eps = sigma*h/2, by the damped Newton of
+    solve_viscous; report.iterations counts Newton iterations. The residual
+    tolerance tol*lambda/omega, omega = h/(sigma + lambda*h), restates the
+    stopping rule omega*|F|_inf <= tol*lambda of the classical relaxed update
+    u <- u - omega*F(u). The scheme is monotone only if sigma >= max|dH/dp|;
+    a solution violating that, checked at the returned u, or a Newton stall
+    raises ConvergenceError advising a larger sigma.
     """
     if not (lam > 0.0 and np.isfinite(lam)):
         raise ValueError(f"lambda must be positive, got {lam!r}")
     if not (sigma > 0.0 and np.isfinite(sigma)):
         raise ValueError(f"sigma must be positive, got {sigma!r}")
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
+    if not (tol > 0.0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
     h = grid.h
-    x = grid.x
     omega = h / (sigma + lam * h)
-    u = np.zeros(grid.n)
-    stop = tol * lam
-    bound = 1e8
-
-    for it in range(1, max_iters + 1):
-        up = np.roll(u, -1)
-        um = np.roll(u, 1)
-        dplus = (up - u) / h
-        dminus = (u - um) / h
-        bracket = lam * u + model.h(x, 0.5 * (dplus + dminus)) - 0.5 * sigma * (dplus - dminus)
-        update = omega * bracket
-        unorm = float(np.max(np.abs(update)))
-        if not np.isfinite(unorm) or float(np.max(np.abs(u))) > bound:
-            raise ConvergenceError(
-                "Lax-Friedrichs iteration diverged; sigma is likely below the "
-                "sampled max |dH/dp|, retry with a larger sigma")
-        u = u - update
-        if unorm <= stop:
-            return ScalarField(grid, u), SolveReport(it, unorm, True, 0)
-    raise ConvergenceError(
-        f"Lax-Friedrichs did not reach tol*lambda = {stop:.3e} in {max_iters} sweeps; "
-        "raise tol or sigma")
+    u, report = solve_viscous(model, lam, 0.5 * sigma * h, grid,
+                              ViscousOptions(tol_residual_inf=tol * lam / omega))
+    if not report.converged:
+        raise ConvergenceError(
+            "Newton solve of the Lax-Friedrichs scheme stalled at residual "
+            f"{report.final_residual_inf:.3e}; retry with a larger sigma")
+    speed = float(np.max(np.abs(model.dhdp(grid.x, central_gradient(u).values))))
+    if speed > sigma:
+        raise ConvergenceError(
+            f"max |dH/dp| = {speed:.3e} on the solution exceeds sigma = {sigma:.3e}, "
+            "so the scheme is not monotone; retry with a larger sigma")
+    return u, report

@@ -13,6 +13,7 @@ solution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,8 +215,8 @@ def solve_viscous_neumann(model: HamiltonianModel, lam: float, eps: float,
     the torus solver restricted to [0, pi] with homogeneous Neumann ends
     realized through ghost nodes.
     """
-    if not (lam > 0.0 and eps > 0.0):
-        raise ValueError("lambda and eps must be positive")
+    if not (lam > 0.0 and math.isfinite(lam) and eps > 0.0 and math.isfinite(eps)):
+        raise ValueError(f"lambda and eps must be positive and finite, got {lam!r}, {eps!r}")
     if n_half < 4:
         raise ValueError("n_half must be at least 4")
     _check_reflection_symmetry(model)

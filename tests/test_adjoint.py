@@ -126,6 +126,9 @@ def test_adjoint_argument_validation(pendulum):
         hv.solve_adjoint_stationary(pendulum, u, 0.0, 0.1, 0)
     with pytest.raises(ValueError):
         hv.solve_adjoint_stationary(pendulum, u, 0.1, -0.1, 0)
+    for lam, eps in ((math.inf, 0.1), (math.nan, 0.1), (0.1, math.inf), (0.1, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            hv.solve_adjoint_stationary(pendulum, u, lam, eps, 0)
 
 
 def test_fokker_planck_relaxes_to_uniform():
@@ -173,6 +176,11 @@ def test_fokker_planck_is_lazy_and_validates():
         list(hv.evolve_fokker_planck(drift, 0.5, 99, 1.0))
     with pytest.raises(ValueError):
         list(hv.evolve_fokker_planck(drift, 0.5, 0, 1.0, dt=-0.1))
+    for eps, t_final, dt in ((math.inf, 1.0, None), (math.nan, 1.0, None),
+                             (0.5, math.inf, None), (0.5, math.nan, None),
+                             (0.5, 1.0, math.inf), (0.5, 1.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            next(hv.evolve_fokker_planck(drift, eps, 0, t_final, dt))
     snaps = hv.fokker_planck_snapshots(drift, 0.5, 0, 1.0, 0.25)
     assert isinstance(snaps, list)
     assert len(snaps) == 5  # t = 0 plus 4 steps

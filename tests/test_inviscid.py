@@ -108,3 +108,27 @@ def test_lax_friedrichs_validation(pendulum):
         hv.solve_discounted_lax_friedrichs(pendulum, 0.1, g, 0.0)
     with pytest.raises(ValueError):
         hv.solve_discounted_lax_friedrichs(pendulum, 0.1, g, 1.0, tol=0.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError):
+            hv.solve_discounted_lax_friedrichs(pendulum, 0.1, g, 1.0, tol=bad)
+
+
+def test_lax_friedrichs_solves_viscous_equation_at_numerical_viscosity(pendulum):
+    """The scheme is the viscous equation at eps = sigma*h/2, solved to tol*lambda/omega."""
+    lam, sigma, tol = 0.05, 2.0, 1e-8
+    g = hv.Grid1D(256)
+    u, report = hv.solve_discounted_lax_friedrichs(pendulum, lam, g, sigma, tol=tol)
+    assert report.converged
+    omega = g.h / (sigma + lam * g.h)
+    res = hv.viscous_residual(pendulum, u, lam, 0.5 * sigma * g.h)
+    assert float(np.max(np.abs(res.values))) <= tol * lam / omega
+
+
+def test_lax_friedrichs_rejects_speed_above_sigma(pendulum):
+    """Newton converges here, but max |dH/dp| = 1.57 on the solution exceeds sigma = 1."""
+    lam, sigma = 0.25, 1.0
+    g = hv.Grid1D(256)
+    _, report = hv.solve_viscous(pendulum, lam, 0.5 * sigma * g.h, g)
+    assert report.converged
+    with pytest.raises(hv.ConvergenceError, match="sigma"):
+        hv.solve_discounted_lax_friedrichs(pendulum, lam, g, sigma)

@@ -218,3 +218,10 @@ def test_neumann_requires_reflection_symmetry():
         hv.solve_viscous_neumann(lopsided, 0.1, 0.1, 64)
     with pytest.raises(ValueError):
         hv.solve_viscous_neumann(hv.pendulum_hamiltonian(), 0.1, 0.1, 3)
+
+
+@pytest.mark.parametrize("lam, eps", [(np.inf, 0.1), (np.nan, 0.1),
+                                      (0.1, np.inf), (0.1, np.nan)])
+def test_neumann_rejects_non_finite_parameters(pendulum, lam, eps):
+    with pytest.raises(ValueError, match="finite"):
+        hv.solve_viscous_neumann(pendulum, lam, eps, 64)
