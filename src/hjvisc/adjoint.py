@@ -27,16 +27,16 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .core import (ConvergenceError, DensityField, Grid1D, HamiltonianModel,
-                   ScalarField)
-from .tridiag import CyclicTridiagonalMatrix, solve_cyclic_tridiagonal
+                   ScalarField, central_gradient)
+from .tridiag import (CyclicTridiagonalMatrix, factor_cyclic_tridiagonal,
+                      solve_cyclic_tridiagonal)
 
 NEGATIVITY_REJECT = -1e-8
 
 
 def drift_field(model: HamiltonianModel, u: ScalarField) -> ScalarField:
     """b_j = dH/dp(x_j, Du_j) with the central gradient of u."""
-    v = u.values
-    du = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * u.grid.h)
+    du = central_gradient(u).values
     return ScalarField(u.grid, np.asarray(model.dhdp(u.grid.x, du), dtype=float))
 
 
@@ -113,7 +113,8 @@ def evolve_fokker_planck(drift: ScalarField, eps: float, x0_index: int,
     The drift is any nodal field b (dH/dp of a solved u, or an averaged
     drift); dt defaults to the grid spacing h. Yields (t_k, rho_k) lazily,
     starting with (0, delta/h), so long horizons never materialize in memory;
-    wrap in list() for short runs. The stepping matrix is factorized once.
+    wrap in list() for short runs. The stepping matrix is factorized once,
+    by the same cyclic tridiagonal factorization as every other banded solve.
     Every snapshot is validated through DensityField (mass within 1e-8 of 1,
     entries >= -1e-12).
     """
@@ -127,31 +128,20 @@ def evolve_fokker_planck(drift: ScalarField, eps: float, x0_index: int,
     if not (0 <= x0_index < grid.n):
         raise ValueError(f"x0_index {x0_index} outside 0..{grid.n - 1}")
 
-    from scipy.sparse import csc_matrix
-    from scipy.sparse.linalg import splu
-
     a = divergence_operator_bands(grid, drift.values)
     visc = eps / (grid.h ** 2)
     # rows of I - dt*(A + eps*L)
-    diag = 1.0 - dt * (a.diag - 2.0 * visc)
-    sub = -dt * (a.sub + visc)
-    sup = -dt * (a.super + visc)
-    n = grid.n
-    idx = np.arange(n)
-    rows = np.concatenate([idx, idx, idx])
-    cols = np.concatenate([idx, (idx + 1) % n, (idx - 1) % n])
-    data = np.concatenate([diag, sup, sub])
-    try:
-        lu = splu(csc_matrix((data, (rows, cols)), shape=(n, n)))
-    except RuntimeError as exc:  # singular factorization
-        raise ConvergenceError(f"Fokker-Planck step matrix not factorizable: {exc}")
+    step = factor_cyclic_tridiagonal(CyclicTridiagonalMatrix(
+        diag=1.0 - dt * (a.diag - 2.0 * visc),
+        sub=-dt * (a.sub + visc),
+        super=-dt * (a.super + visc)))
 
-    rho = np.zeros(n)
+    rho = np.zeros(grid.n)
     rho[x0_index] = 1.0 / grid.h
     yield 0.0, DensityField(grid, rho)
     steps = int(round(t_final / dt))
     for k in range(1, steps + 1):
-        rho = lu.solve(rho)
+        rho = step(rho)
         yield k * dt, DensityField(grid, rho)
 
 
@@ -224,14 +214,8 @@ def averaged_drift(u_eps: ScalarField, u_delta: ScalarField,
     if quad_points < 4:
         raise ValueError("use at least 4 Gauss-Legendre points")
     grid = u_eps.grid
-    h = grid.h
-
-    def grad(f: ScalarField) -> np.ndarray:
-        v = f.values
-        return (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * h)
-
-    ga = grad(u_eps)
-    gb = grad(u_delta)
+    ga = central_gradient(u_eps).values
+    gb = central_gradient(u_delta).values
     nodes, weights = np.polynomial.legendre.leggauss(quad_points)
     r = 0.5 * (nodes + 1.0)
     w = 0.5 * weights

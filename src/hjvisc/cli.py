@@ -8,8 +8,7 @@ exits without solving, so a dumped config reparses to an identical run.
 
 Exit codes: 0 success, 1 validation/usage error, 2 solver non-convergence.
 Field output is CSV with rows `x,value`; sweeps use the harness layout. All
-floats are printed with 17 significant digits. HJVISC_THREADS (environment)
-caps sweep concurrency; nothing here is randomized.
+floats are printed with 17 significant digits; nothing here is randomized.
 """
 
 from __future__ import annotations

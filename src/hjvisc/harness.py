@@ -21,20 +21,19 @@ CSV layout (one row per record, then a comment summary):
     # r_squared=...
 
 printed with 17 significant digits, bit-identical across reruns of one
-config. Sweep points may run concurrently (HJVISC_THREADS caps the pool);
-results are assembled in lambda order so concurrency never changes output.
+config.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .core import ConvergenceError, Grid1D, HamiltonianModel, ScalarField
+from .core import (ConvergenceError, Grid1D, HamiltonianModel, ScalarField,
+                   central_gradient)
 from .inviscid import solve_discounted_lax_friedrichs, solve_pendulum_ode
 from .viscous import ViscousOptions, solve_viscous
 
@@ -111,22 +110,11 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, floa
     return float(slope), float(intercept), float(r2)
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("HJVISC_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"HJVISC_THREADS must be an integer, got {raw!r}") from None
-    return max(cap, 1)
-
-
 def _lf_speed_bound(model: HamiltonianModel, u_eps: ScalarField) -> float:
     """Artificial-viscosity speed for the LF fallback, padded 25% above the
     largest |dH/dp| seen along the viscous solution's gradient range."""
-    grid = u_eps.grid
-    v = u_eps.values
-    du = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * grid.h)
-    speed = float(np.max(np.abs(np.asarray(model.dhdp(grid.x, du), dtype=float))))
+    du = central_gradient(u_eps).values
+    speed = float(np.max(np.abs(np.asarray(model.dhdp(u_eps.grid.x, du), dtype=float))))
     return max(1.25 * speed, 1.0)
 
 
@@ -185,13 +173,7 @@ def run_sweep(model: HamiltonianModel, alpha: float,
         except ConvergenceError as exc:
             return exc
 
-    cap = _thread_cap()
-    if cap > 1 and len(lams) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=min(cap, len(lams))) as pool:
-            outcomes = list(pool.map(one, lams))
-    else:
-        outcomes = [one(lam) for lam in lams]
+    outcomes = [one(lam) for lam in lams]
 
     records = []
     failed = []

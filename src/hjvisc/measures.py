@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import (ConvergenceError, DensityField, Grid1D, HamiltonianModel,
-                   ScalarField)
+                   ScalarField, central_gradient, discrete_laplacian)
 from .viscous import ViscousOptions, solve_viscous
 
 
@@ -120,8 +120,7 @@ def extract_measure(model: HamiltonianModel, u: ScalarField,
     if u.grid != theta.grid:
         raise ValueError("u and theta live on different grids")
     grid = u.grid
-    v = u.values
-    du = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * grid.h)
+    du = central_gradient(u).values
     velocities = np.asarray(model.dhdp(grid.x, du), dtype=float)
     weights = grid.h * theta.values
     weights = weights / float(weights.sum())
@@ -143,9 +142,8 @@ def closedness_defect(mu: DiscreteMeasure, eps: float,
     proportionally to lambda: the measure is eps-closed in the limit.
     """
     grid = test_fn.grid
-    phi = test_fn.values
-    dphi = (np.roll(phi, -1) - np.roll(phi, 1)) / (2.0 * grid.h)
-    lphi = (np.roll(phi, -1) - 2.0 * phi + np.roll(phi, 1)) / (grid.h ** 2)
+    dphi = central_gradient(test_fn).values
+    lphi = discrete_laplacian(test_fn).values
     idx = np.rint(mu.positions / grid.h).astype(int) % grid.n
     if float(np.max(np.abs(grid.x[idx] - np.mod(mu.positions, grid.length)))) > 1e-9:
         raise ValueError("measure support does not sit on the test field's grid nodes")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import HamiltonianModel, ScalarField
+from .core import HamiltonianModel, ScalarField, central_gradient
 
 _BLOCK = 512
 
@@ -52,8 +52,6 @@ def subsolution_defect(u_delta: ScalarField, lam: float,
     """
     if not (lam > 0.0 and np.isfinite(lam)):
         raise ValueError(f"lambda must be positive, got {lam!r}")
-    grid = u_delta.grid
-    v = u_delta.values
-    du = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * grid.h)
-    resid = lam * v + np.asarray(model.h(grid.x, du), dtype=float)
+    du = central_gradient(u_delta).values
+    resid = lam * u_delta.values + np.asarray(model.h(u_delta.grid.x, du), dtype=float)
     return float(max(np.max(resid), 0.0))

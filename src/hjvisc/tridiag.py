@@ -1,14 +1,15 @@
-"""Cyclic tridiagonal systems: banded elimination plus a rank-one corner fix.
+"""Tridiagonal systems: one LAPACK factorization, many solves.
 
-A periodic stencil produces a matrix that is tridiagonal except for the two
-corner entries A[0, n-1] and A[n-1, 0]. Writing A = T + outer(w, v) with T
-plainly tridiagonal reduces the solve to two banded eliminations and the
-Sherman-Morrison update
+factor_tridiagonal runs LAPACK's pivoted tridiagonal LU (?gttrf) once and
+returns a solver that applies it with ?gttrs. A periodic stencil produces a
+matrix that is tridiagonal except for the two corner entries A[0, n-1] and
+A[n-1, 0]. Writing A = T + outer(w, v) with T plainly tridiagonal reduces
+each solve to one solve with T and the Sherman-Morrison update
 
     x = y - z * (v . y) / (1 + v . z),   T y = r,  T z = w.
 
-The banded elimination is LAPACK's pivoted LU (scipy solve_banded). z depends
-only on the matrix, so repeated solves against one matrix reuse it.
+factor_cyclic_tridiagonal factors T and solves T z = w once, so every later
+right-hand side costs one ?gttrs call plus the rank-one fix.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 from .core import ConvergenceError
 
@@ -68,13 +69,54 @@ class CyclicTridiagonalMatrix:
         return a
 
 
-def _banded(sub: np.ndarray, diag: np.ndarray, sup: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    n = diag.shape[0]
-    ab = np.zeros((3, n))
-    ab[0, 1:] = sup[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = sub[1:]
-    return solve_banded((1, 1), ab, rhs, check_finite=False)
+def factor_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
+    """Factor the tridiagonal matrix with sub-, main and super-diagonal
+    dl, d, du once; returns rhs -> solution.
+
+    Raises ConvergenceError when the factorization meets an exact zero pivot.
+    """
+    dl, d, du, du2, ipiv, info = lapack.dgttrf(dl, d, du)
+    if info != 0:
+        raise ConvergenceError(f"tridiagonal factorization failed: zero pivot in row {info}")
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        return lapack.dgttrs(dl, d, du, du2, ipiv, rhs)[0]
+
+    return solve
+
+
+def factor_cyclic_tridiagonal(matrix: CyclicTridiagonalMatrix):
+    """Factor the cyclic matrix once; returns rhs -> solution.
+
+    Raises ConvergenceError when the tridiagonal part has a zero pivot or the
+    Sherman-Morrison denominator vanishes (singular system). Solutions carry
+    no certificate; solve_cyclic_tridiagonal adds one.
+    """
+    n = matrix.n
+    d = matrix.diag
+    alpha = matrix.sub[0]       # row 0, column n-1
+    beta = matrix.super[n - 1]  # row n-1, column 0
+    gamma = -d[0] if abs(d[0]) > 1e-300 else -(np.max(np.abs(d)) + 1.0)
+    d_mod = d.copy()
+    d_mod[0] -= gamma
+    d_mod[-1] -= alpha * beta / gamma
+    solve_t = factor_tridiagonal(matrix.sub[1:], d_mod, matrix.super[:-1])
+    w = np.zeros(n)
+    w[0] = gamma
+    w[-1] = beta
+    # v = e_0 + (alpha/gamma) e_{n-1}
+    z = solve_t(w)
+    denom = 1.0 + z[0] + (alpha / gamma) * z[-1]
+    if abs(denom) < 1e-13:
+        raise ConvergenceError("cyclic tridiagonal solve rejected: singular system "
+                               "(rank-one correction denominator vanished)")
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        y = solve_t(rhs)
+        factor = (y[0] + (alpha / gamma) * y[-1]) / denom
+        return y - factor * z
+
+    return solve
 
 
 def solve_cyclic_tridiagonal(matrix: CyclicTridiagonalMatrix, rhs: np.ndarray) -> np.ndarray:
@@ -103,10 +145,6 @@ def solve_cyclic_tridiagonal(matrix: CyclicTridiagonalMatrix, rhs: np.ndarray) -
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs contains non-finite entries")
 
-    d = matrix.diag.copy()
-    alpha = matrix.sub[0]      # row 0, column n-1
-    beta = matrix.super[n - 1]  # row n-1, column 0
-
     rhs_scale = float(np.max(np.abs(rhs)))
     norm_a = float(np.max(np.abs(matrix.diag) + np.abs(matrix.sub) + np.abs(matrix.super)))
 
@@ -126,33 +164,14 @@ def solve_cyclic_tridiagonal(matrix: CyclicTridiagonalMatrix, rhs: np.ndarray) -
         return x
 
     try:
-        gamma = -d[0] if abs(d[0]) > 1e-300 else -(np.max(np.abs(d)) + 1.0)
-        d_mod = d.copy()
-        d_mod[0] -= gamma
-        d_mod[-1] -= alpha * beta / gamma
-        w = np.zeros(n)
-        w[0] = gamma
-        w[-1] = beta
-        # v = e_0 + (alpha/gamma) e_{n-1}
-        y = _banded(matrix.sub, d_mod, matrix.super, rhs)
-        z = _banded(matrix.sub, d_mod, matrix.super, w)
-        denom = 1.0 + z[0] + (alpha / gamma) * z[-1]
-        if abs(denom) < 1e-13:
-            raise ConvergenceError("cyclic tridiagonal solve rejected: singular system "
-                                   "(rank-one correction denominator vanished)")
-        factor = (y[0] + (alpha / gamma) * y[-1]) / denom
-        return certified(y - factor * z)
-    except (ConvergenceError, np.linalg.LinAlgError, ValueError):
+        return certified(factor_cyclic_tridiagonal(matrix)(rhs))
+    except ConvergenceError:
         # retry once with a pivoted sparse LU before giving up
-        from scipy.sparse import csc_matrix
         from scipy.sparse.linalg import splu
 
         try:
-            lu = splu(csc_matrix(matrix.dense() if n <= 64 else _sparse(matrix)))
-            return certified(lu.solve(rhs))
-        except ConvergenceError:
-            raise
-        except (RuntimeError, np.linalg.LinAlgError) as exc:
+            return certified(splu(_sparse(matrix)).solve(rhs))
+        except RuntimeError as exc:
             raise ConvergenceError(f"cyclic tridiagonal solve rejected: {exc}") from exc
 
 

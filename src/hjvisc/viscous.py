@@ -23,10 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .core import Grid1D, HamiltonianModel, ScalarField, SolveReport
-from .tridiag import CyclicTridiagonalMatrix, solve_cyclic_tridiagonal
+from .tridiag import (CyclicTridiagonalMatrix, factor_tridiagonal,
+                      solve_cyclic_tridiagonal)
 
 MIN_DAMPING_STEP = 2.0 ** -20
 
@@ -283,13 +283,12 @@ def solve_viscous_neumann(model: HamiltonianModel, lam: float, eps: float,
         sub = -b[:-1] / (2.0 * h) - visc
         sup = b[1:] / (2.0 * h) - visc
         # the ghost nodes fold the outer couplings onto u_1 and u_{N-1}
-        ab = np.zeros((3, m))
-        ab[0, 1:] = sup[:-1]
-        ab[0, 1] += sub[0]
-        ab[1, :] = lam + 2.0 * visc + (b[:-1] - b[1:]) / (2.0 * h)
-        ab[2, :-1] = sub[1:]
-        ab[2, -2] += sup[-1]
-        return sub, sup, lambda rhs: solve_banded((1, 1), ab, rhs, check_finite=False)
+        dl = sub[1:].copy()
+        dl[-1] += sup[-1]
+        du = sup[:-1].copy()
+        du[0] += sub[0]
+        diag = lam + 2.0 * visc + (b[:-1] - b[1:]) / (2.0 * h)
+        return sub, sup, factor_tridiagonal(dl, diag, du)
 
     u, iters, rnorm, ok = _damped_newton(
         lambda u: neumann_residual(model, lam, eps, u, n_half), linearize, np.zeros(m), opts)

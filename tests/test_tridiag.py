@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import hjvisc as hv
-from hjvisc.tridiag import CyclicTridiagonalMatrix, solve_cyclic_tridiagonal
+from hjvisc.tridiag import (CyclicTridiagonalMatrix, factor_cyclic_tridiagonal,
+                            factor_tridiagonal, solve_cyclic_tridiagonal)
 
 
 def _random_dominant(n, seed):
@@ -31,6 +32,11 @@ def test_matches_dense_oracle():
         x_dense = np.linalg.solve(m.dense(), rhs)
         assert np.max(np.abs(x - x_dense)) <= 1e-12
         assert np.max(np.abs(m.matvec(x) - rhs)) <= 1e-12
+        # one factorization serves many right-hand sides
+        solve = factor_cyclic_tridiagonal(m)
+        for k in range(3):
+            rhs = np.random.RandomState(200 + 10 * seed + k).standard_normal(8)
+            assert np.max(np.abs(solve(rhs) - np.linalg.solve(m.dense(), rhs))) <= 1e-12
 
 
 def test_matvec_agrees_with_dense():
@@ -89,6 +95,14 @@ def test_singular_laplacian_with_consistent_rhs_is_certified():
     assert np.all(np.isfinite(x))
     norm_a = 4.0
     assert np.max(np.abs(m.matvec(x) - rhs)) <= 1e-12 * norm_a * np.max(np.abs(x))
+
+
+def test_exact_zero_pivot_raises_convergence_error():
+    d = np.array([0.0, 2.0, 2.0, 2.0])
+    dl = np.array([0.0, 1.0, 1.0])
+    du = np.array([0.0, 1.0, 1.0])
+    with pytest.raises(hv.ConvergenceError, match="zero pivot"):
+        factor_tridiagonal(dl, d, du)
 
 
 def test_input_validation():
