@@ -66,7 +66,8 @@ _SCHEMAS: dict[str, dict[str, _Param]] = {
         "lambda": _Param("float", required=True, positive=True, help="discount factor"),
         "method": _Param("str", help="ode (pendulum only) or lf; default by model"),
         "sigma": _Param("float", positive=True, help="Lax-Friedrichs speed bound"),
-        "tol": _Param("float", default=1e-8, positive=True, help="sweep update tolerance"),
+        "tol": _Param("float", default=1e-8, positive=True,
+                      help="Newton stops at omega*|F|_inf <= tol*lambda, omega = h/(sigma+lambda*h)"),
         "out": _OUT,
     },
     "adjoint": {

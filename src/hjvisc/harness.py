@@ -32,8 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (ConvergenceError, Grid1D, HamiltonianModel, ScalarField,
-                   central_gradient)
+from .adjoint import drift_field
+from .core import ConvergenceError, Grid1D, HamiltonianModel, ScalarField
 from .inviscid import solve_discounted_lax_friedrichs, solve_pendulum_ode
 from .viscous import ViscousOptions, solve_viscous
 
@@ -113,8 +113,7 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, floa
 def _lf_speed_bound(model: HamiltonianModel, u_eps: ScalarField) -> float:
     """Artificial-viscosity speed for the LF fallback, padded 25% above the
     largest |dH/dp| seen along the viscous solution's gradient range."""
-    du = central_gradient(u_eps).values
-    speed = float(np.max(np.abs(np.asarray(model.dhdp(u_eps.grid.x, du), dtype=float))))
+    speed = float(np.max(np.abs(drift_field(model, u_eps).values)))
     return max(1.25 * speed, 1.0)
 
 
@@ -167,20 +166,12 @@ def run_sweep(model: HamiltonianModel, alpha: float,
         raise ValueError("pendulum sweeps need even n to share nodes with the ODE")
     grid = Grid1D(n)
 
-    def one(lam: float) -> SweepRecord | ConvergenceError:
-        try:
-            return _sweep_point(model, lam, alpha, grid, opts)
-        except ConvergenceError as exc:
-            return exc
-
-    outcomes = [one(lam) for lam in lams]
-
     records = []
     failed = []
-    for lam, outcome in zip(lams, outcomes):
-        if isinstance(outcome, SweepRecord):
-            records.append(outcome)
-        else:
+    for lam in lams:
+        try:
+            records.append(_sweep_point(model, lam, alpha, grid, opts))
+        except ConvergenceError:
             failed.append(lam)
 
     fit_pts = [(r.lam, r.sup_diff) for r in records if r.sup_diff > 0.0]

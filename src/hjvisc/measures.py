@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .adjoint import drift_field
 from .core import (ConvergenceError, DensityField, Grid1D, HamiltonianModel,
                    ScalarField, central_gradient, discrete_laplacian)
 from .viscous import ViscousOptions, solve_viscous
@@ -112,19 +113,18 @@ def extract_measure(model: HamiltonianModel, u: ScalarField,
                     theta: DensityField) -> DiscreteMeasure:
     """Push theta onto the graph of the optimal velocity field.
 
-    Support points are (x_j, dH/dp(x_j, Du_j)); the weight at node j is
-    h * theta_j, renormalized to sum exactly 1.
+    Support points are (x_j, dH/dp(x_j, Du_j)), the nodal drift of
+    adjoint.drift_field; the weight at node j is h * theta_j, renormalized
+    to sum exactly 1.
     """
     if not isinstance(theta, DensityField):
         raise ValueError("theta must be a DensityField")
     if u.grid != theta.grid:
         raise ValueError("u and theta live on different grids")
     grid = u.grid
-    du = central_gradient(u).values
-    velocities = np.asarray(model.dhdp(grid.x, du), dtype=float)
     weights = grid.h * theta.values
     weights = weights / float(weights.sum())
-    return DiscreteMeasure(grid.x, velocities, weights)
+    return DiscreteMeasure(grid.x, drift_field(model, u).values, weights)
 
 
 def measure_action(mu: DiscreteMeasure, model: HamiltonianModel) -> float:

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Grid1D, HamiltonianModel, ScalarField, SolveReport
-from .tridiag import (CyclicTridiagonalMatrix, factor_tridiagonal,
-                      solve_cyclic_tridiagonal)
+from .tridiag import CyclicTridiagonalMatrix, solve_cyclic_tridiagonal
 
+DAMPING = 0.5
 MIN_DAMPING_STEP = 2.0 ** -20
 
 
@@ -35,7 +35,6 @@ MIN_DAMPING_STEP = 2.0 ** -20
 class ViscousOptions:
     tol_residual_inf: float = 1e-10
     max_newton_iters: int = 200
-    damping: float = 0.5
     continuation: bool = True
     initial_guess: ScalarField | None = None
 
@@ -44,8 +43,6 @@ class ViscousOptions:
             raise ValueError("tol_residual_inf must be positive")
         if self.max_newton_iters < 1:
             raise ValueError("max_newton_iters must be at least 1")
-        if not (0.0 < self.damping < 1.0):
-            raise ValueError("damping factor must lie in (0, 1)")
 
 
 def _residual_arr(model: HamiltonianModel, grid: Grid1D, u: np.ndarray,
@@ -109,48 +106,36 @@ def viscous_jacobian(model: HamiltonianModel, u: ScalarField, lam: float,
     return _jacobian_arr(model, u.grid, u.values, lam, eps)
 
 
-def _damped_newton(residual, linearize, u0: np.ndarray,
-                   opts: ViscousOptions) -> tuple[np.ndarray, int, float, bool]:
-    """Damped Newton from u0. Returns (u, iters, residual, converged).
+def _newton(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
+            u0: np.ndarray, opts: ViscousOptions) -> tuple[np.ndarray, int, float, bool]:
+    """One damped Newton run at fixed eps from u0. Returns (u, iters, residual, converged).
 
-    residual(u) is the residual array; linearize(u) returns the sub- and
-    super-diagonal of the Jacobian at u and a solver for it. A run whose
-    residual meets the tolerance converges only if the Jacobian at its final
-    iterate is expansion free.
+    A run whose residual meets the tolerance converges only if the Jacobian
+    at its final iterate is expansion free.
     """
     u = u0.copy()
-    res = residual(u)
+    res = _residual_arr(model, grid, u, lam, eps)
     rnorm = float(np.max(np.abs(res)))
-    for it in range(opts.max_newton_iters):
-        sub, sup, solve = linearize(u)
-        if rnorm <= opts.tol_residual_inf:
-            return u, it, rnorm, _expansion_free(sub, sup)
-        step = solve(-res)
+    it = 0
+    while rnorm > opts.tol_residual_inf:
+        if it == opts.max_newton_iters:
+            return u, it, rnorm, False
+        step = solve_cyclic_tridiagonal(_jacobian_arr(model, grid, u, lam, eps), -res)
+        it += 1
         t = 1.0
         while True:
             trial = u + t * step
-            trial_res = residual(trial)
+            trial_res = _residual_arr(model, grid, trial, lam, eps)
             trial_norm = float(np.max(np.abs(trial_res)))
             if np.isfinite(trial_norm) and trial_norm < rnorm:
                 u, res, rnorm = trial, trial_res, trial_norm
                 break
-            t *= opts.damping
+            t *= DAMPING
             if t < MIN_DAMPING_STEP:
                 # stalled: no damped step reduces the residual
-                return u, it + 1, rnorm, False
-    ok = rnorm <= opts.tol_residual_inf and _expansion_free(*linearize(u)[:2])
-    return u, opts.max_newton_iters, rnorm, ok
-
-
-def _newton(model, lam, eps, grid, u0, opts) -> tuple[np.ndarray, int, float, bool]:
-    """One damped Newton run at fixed eps on the torus."""
-
-    def linearize(u):
-        jac = _jacobian_arr(model, grid, u, lam, eps)
-        return jac.sub, jac.super, lambda rhs: solve_cyclic_tridiagonal(jac, rhs)
-
-    return _damped_newton(lambda u: _residual_arr(model, grid, u, lam, eps),
-                          linearize, u0, opts)
+                return u, it, rnorm, False
+    jac = _jacobian_arr(model, grid, u, lam, eps)
+    return u, it, rnorm, _expansion_free(jac.sub, jac.super)
 
 
 def _continuation_chain(eps: float) -> list[float]:
@@ -207,7 +192,7 @@ def solve_viscous(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
 
 
 # ----------------------------------------------------------------------------
-# Neumann variant on the half interval [0, pi]
+# Neumann problem on the half interval [0, pi]: the torus solve, restricted
 
 
 @dataclass(frozen=True)
@@ -261,35 +246,16 @@ def solve_viscous_neumann(model: HamiltonianModel, lam: float, eps: float,
                           ) -> tuple[HalfIntervalField, SolveReport]:
     """Half-interval solve for reflection-symmetric models.
 
-    The even extension of the solution solves the torus problem, so this is
-    the torus solver restricted to [0, pi] with homogeneous Neumann ends
-    realized through ghost nodes.
+    The even extension of a Neumann solution on [0, pi] solves the torus
+    problem, and the ghost nodes u_{-1} = u_1, u_{N+1} = u_{N-1} are that
+    extension. So this is solve_viscous on 2*n_half torus nodes, restricted
+    to j = 0..n_half, with the torus report; neumann_residual evaluates the
+    ghost-node residual of the returned field independently.
     """
     if not (lam > 0.0 and math.isfinite(lam) and eps > 0.0 and math.isfinite(eps)):
         raise ValueError(f"lambda and eps must be positive and finite, got {lam!r}, {eps!r}")
     if n_half < 4:
         raise ValueError("n_half must be at least 4")
     _check_reflection_symmetry(model)
-    opts = opts or ViscousOptions()
-
-    h = np.pi / n_half
-    x_half = h * (np.arange(n_half + 2) - 0.5)
-    visc = eps / (h * h)
-    m = n_half + 1
-
-    def linearize(u: np.ndarray):
-        ext = np.concatenate([[u[1]], u, [u[-2]]])
-        b = model.dhdp(x_half, np.diff(ext) / h)  # b_{j-1/2}, j = 0..N+1
-        sub = -b[:-1] / (2.0 * h) - visc
-        sup = b[1:] / (2.0 * h) - visc
-        # the ghost nodes fold the outer couplings onto u_1 and u_{N-1}
-        dl = sub[1:].copy()
-        dl[-1] += sup[-1]
-        du = sup[:-1].copy()
-        du[0] += sub[0]
-        diag = lam + 2.0 * visc + (b[:-1] - b[1:]) / (2.0 * h)
-        return sub, sup, factor_tridiagonal(dl, diag, du)
-
-    u, iters, rnorm, ok = _damped_newton(
-        lambda u: neumann_residual(model, lam, eps, u, n_half), linearize, np.zeros(m), opts)
-    return HalfIntervalField(n_half, u), SolveReport(iters, rnorm, ok, 0)
+    u, report = solve_viscous(model, lam, eps, Grid1D(2 * n_half), opts)
+    return HalfIntervalField(n_half, u.values[:n_half + 1]), report
