@@ -8,14 +8,12 @@ from .core import (ConvergenceError, DensityField, Grid1D, HamiltonianModel,
                    inf_norm_diff, pendulum_hamiltonian, separable_hamiltonian,
                    verify_tonelli)
 from .tridiag import CyclicTridiagonalMatrix, solve_cyclic_tridiagonal
-from .viscous import (HalfIntervalField, ViscousOptions, neumann_residual,
-                      solve_viscous, solve_viscous_neumann, viscous_jacobian,
+from .viscous import (ViscousOptions, solve_viscous, viscous_jacobian,
                       viscous_residual)
 from .inviscid import (checked_radicand, solve_discounted_lax_friedrichs,
                        solve_pendulum_ode)
-from .adjoint import (averaged_drift, divergence_operator_bands, drift_field,
-                      entropy_diagnostic, evolve_fokker_planck,
-                      fokker_planck_snapshots, solve_adjoint_stationary,
+from .adjoint import (averaged_drift, drift_field, entropy_diagnostic,
+                      evolve_fokker_planck, solve_adjoint_stationary,
                       stationary_from_transient)
 from .measures import (DiscreteMeasure, closedness_defect,
                        estimate_ergodic_constant, extract_measure,
@@ -33,11 +31,9 @@ __all__ = [
     "inf_norm_diff", "pendulum_hamiltonian", "separable_hamiltonian",
     "verify_tonelli",
     "CyclicTridiagonalMatrix", "solve_cyclic_tridiagonal",
-    "HalfIntervalField", "ViscousOptions", "neumann_residual", "solve_viscous",
-    "solve_viscous_neumann", "viscous_jacobian", "viscous_residual",
+    "ViscousOptions", "solve_viscous", "viscous_jacobian", "viscous_residual",
     "checked_radicand", "solve_discounted_lax_friedrichs", "solve_pendulum_ode",
-    "averaged_drift", "divergence_operator_bands", "drift_field",
-    "entropy_diagnostic", "evolve_fokker_planck", "fokker_planck_snapshots",
+    "averaged_drift", "drift_field", "entropy_diagnostic", "evolve_fokker_planck",
     "solve_adjoint_stationary", "stationary_from_transient",
     "DiscreteMeasure", "closedness_defect", "estimate_ergodic_constant",
     "extract_measure", "measure_action",

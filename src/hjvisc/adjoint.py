@@ -1,14 +1,16 @@
 """Adjoint (occupation density) solvers for the linearized transport operator.
 
-Given a solved u and its drift b_j = dH/dp(x_j, Du_j), the stationary adjoint
-density solves
+Given a solved u and a nodal drift b_j (dH/dp(x_j, Du_j) by default), the
+stationary adjoint density solves
 
     lambda*theta - D[b*theta] = eps*L*theta + lambda*delta_{x0},
 
 where D[.] is a conservative flux-form divergence: differences of half-node
 fluxes F_{j+1/2} = b_{j+1/2} * (theta_j + theta_{j+1})/2 with the drift
-averaged onto half nodes, and L the periodic Laplacian stencil. Row sums of
-the discrete divergence telescope to zero, so h * sum(theta) = 1 holds
+averaged onto half nodes, b_{j+1/2} = (b_j + b_{j+1})/2, and L the periodic
+Laplacian stencil. Its matrix is the transpose of viscous.drift_diffusion_bands
+at that averaged drift, the discrete adjoint of the Newton Jacobian's stencil.
+Column sums of the divergence telescope to zero, so h * sum(theta) = 1 holds
 exactly up to linear-solver roundoff.
 
 The same operator drives the Fokker-Planck evolution
@@ -30,6 +32,7 @@ from .core import (ConvergenceError, DensityField, Grid1D, HamiltonianModel,
                    ScalarField, central_gradient)
 from .tridiag import (CyclicTridiagonalMatrix, factor_cyclic_tridiagonal,
                       solve_cyclic_tridiagonal)
+from .viscous import drift_diffusion_bands
 
 NEGATIVITY_REJECT = -1e-8
 
@@ -40,34 +43,19 @@ def drift_field(model: HamiltonianModel, u: ScalarField) -> ScalarField:
     return ScalarField(u.grid, np.asarray(model.dhdp(u.grid.x, du), dtype=float))
 
 
-def divergence_operator_bands(grid: Grid1D, b: np.ndarray) -> CyclicTridiagonalMatrix:
-    """Flux-form matrix A with (A theta)_j = (F_{j+1/2} - F_{j-1/2}) / h.
-
-    F_{j+1/2} = 0.5*(b_j + b_{j+1}) * 0.5*(theta_j + theta_{j+1}). Column sums
-    vanish identically (each flux enters two rows with opposite signs), which
-    is what makes both the stationary solve and the evolution mass-exact.
-    """
+def _adjoint_bands(grid: Grid1D, b: np.ndarray, lam: float, eps: float
+                   ) -> CyclicTridiagonalMatrix:
+    """Bands of lambda*I - D[b*.] - eps*L for the nodal drift b."""
     b = np.asarray(b, dtype=float)
     if b.shape != (grid.n,):
         raise ValueError("drift length does not match the grid")
-    h = grid.h
-    b_plus = 0.5 * (b + np.roll(b, -1))   # b at j + 1/2
-    b_minus = np.roll(b_plus, 1)          # b at j - 1/2
-    sup = b_plus / (2.0 * h)
-    sub = -b_minus / (2.0 * h)
-    diag = (b_plus - b_minus) / (2.0 * h)
-    return CyclicTridiagonalMatrix(diag=diag, sub=sub, super=sup)
+    return drift_diffusion_bands(grid, 0.5 * (b + np.roll(b, -1)), lam, eps).transpose()
 
 
-def _system_bands(grid: Grid1D, b: np.ndarray, lam: float, eps: float
-                  ) -> CyclicTridiagonalMatrix:
-    """Bands of lambda*I - A - eps*L."""
-    a = divergence_operator_bands(grid, b)
-    visc = eps / (grid.h ** 2)
-    diag = lam - a.diag + 2.0 * visc
-    sub = -a.sub - visc
-    sup = -a.super - visc
-    return CyclicTridiagonalMatrix(diag=diag, sub=sub, super=sup)
+def _check_source(grid: Grid1D, x0_index: int) -> None:
+    if (isinstance(x0_index, bool) or not isinstance(x0_index, (int, np.integer))
+            or not 0 <= x0_index < grid.n):
+        raise ValueError(f"x0_index must be an integer in 0..{grid.n - 1}, got {x0_index!r}")
 
 
 def solve_adjoint_stationary(model: HamiltonianModel, u: ScalarField, lam: float,
@@ -83,10 +71,9 @@ def solve_adjoint_stationary(model: HamiltonianModel, u: ScalarField, lam: float
     grid = u.grid
     if not (lam > 0.0 and math.isfinite(lam) and eps > 0.0 and math.isfinite(eps)):
         raise ValueError(f"lambda and eps must be positive and finite, got {lam!r}, {eps!r}")
-    if not (0 <= x0_index < grid.n):
-        raise ValueError(f"x0_index {x0_index} outside 0..{grid.n - 1}")
+    _check_source(grid, x0_index)
 
-    system = _system_bands(grid, drift_field(model, u).values, lam, eps)
+    system = _adjoint_bands(grid, drift_field(model, u).values, lam, eps)
     rhs = np.zeros(grid.n)
     rhs[x0_index] = lam / grid.h
     theta = solve_cyclic_tridiagonal(system, rhs)
@@ -125,16 +112,11 @@ def evolve_fokker_planck(drift: ScalarField, eps: float, x0_index: int,
         raise ValueError(f"eps, dt, t_final must be positive and finite: {eps}, {dt}, {t_final}")
     if t_final < dt:
         raise ValueError("horizon shorter than one step")
-    if not (0 <= x0_index < grid.n):
-        raise ValueError(f"x0_index {x0_index} outside 0..{grid.n - 1}")
+    _check_source(grid, x0_index)
 
-    a = divergence_operator_bands(grid, drift.values)
-    visc = eps / (grid.h ** 2)
-    # rows of I - dt*(A + eps*L)
+    gen = _adjoint_bands(grid, drift.values, 0.0, eps)  # -(D[b*.] + eps*L)
     step = factor_cyclic_tridiagonal(CyclicTridiagonalMatrix(
-        diag=1.0 - dt * (a.diag - 2.0 * visc),
-        sub=-dt * (a.sub + visc),
-        super=-dt * (a.super + visc)))
+        diag=1.0 + dt * gen.diag, sub=dt * gen.sub, super=dt * gen.super))
 
     rho = np.zeros(grid.n)
     rho[x0_index] = 1.0 / grid.h
@@ -143,13 +125,6 @@ def evolve_fokker_planck(drift: ScalarField, eps: float, x0_index: int,
     for k in range(1, steps + 1):
         rho = step(rho)
         yield k * dt, DensityField(grid, rho)
-
-
-def fokker_planck_snapshots(drift: ScalarField, eps: float, x0_index: int,
-                            t_final: float, dt: float | None = None
-                            ) -> list[tuple[float, DensityField]]:
-    """Materialized evolve_fokker_planck, for short horizons."""
-    return list(evolve_fokker_planck(drift, eps, x0_index, t_final, dt))
 
 
 def stationary_from_transient(rho_sequence: Iterable[tuple[float, DensityField]],

@@ -68,6 +68,10 @@ class CyclicTridiagonalMatrix:
         a[idx, (idx - 1) % n] = self.sub
         return a
 
+    def transpose(self) -> CyclicTridiagonalMatrix:
+        return CyclicTridiagonalMatrix(diag=self.diag, sub=np.roll(self.super, 1),
+                                       super=np.roll(self.sub, -1))
+
 
 def factor_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
     """Factor the tridiagonal matrix with sub-, main and super-diagonal
@@ -86,7 +90,8 @@ def factor_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
 
 
 def factor_cyclic_tridiagonal(matrix: CyclicTridiagonalMatrix):
-    """Factor the cyclic matrix once; returns rhs -> solution.
+    """Factor the cyclic matrix once; returns rhs -> solution, for rhs of
+    shape (n,) or (n, k).
 
     Raises ConvergenceError when the tridiagonal part has a zero pivot or the
     Sherman-Morrison denominator vanishes (singular system). Solutions carry
@@ -114,7 +119,7 @@ def factor_cyclic_tridiagonal(matrix: CyclicTridiagonalMatrix):
     def solve(rhs: np.ndarray) -> np.ndarray:
         y = solve_t(rhs)
         factor = (y[0] + (alpha / gamma) * y[-1]) / denom
-        return y - factor * z
+        return y - np.multiply.outer(z, factor)
 
     return solve
 

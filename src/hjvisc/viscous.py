@@ -19,7 +19,6 @@ warm-starting each level with the previous solution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +35,6 @@ class ViscousOptions:
     tol_residual_inf: float = 1e-10
     max_newton_iters: int = 200
     continuation: bool = True
-    initial_guess: ScalarField | None = None
 
     def __post_init__(self) -> None:
         if not (self.tol_residual_inf > 0.0):
@@ -66,15 +64,26 @@ def _half_node_drift(model: HamiltonianModel, grid: Grid1D, u: np.ndarray) -> np
     return model.dhdp(grid.x + 0.5 * grid.h, (np.roll(u, -1) - u) / grid.h)
 
 
+def drift_diffusion_bands(grid: Grid1D, b_half: np.ndarray, lam: float,
+                          eps: float) -> CyclicTridiagonalMatrix:
+    """Bands of v -> lambda*v_j + (b_{j+1/2}*D+v_j + b_{j-1/2}*D-v_j)/2 - eps*Lv_j.
+
+    super_j = b_{j+1/2}/(2h) - eps/h^2, sub_j = -b_{j-1/2}/(2h) - eps/h^2,
+    diag_j = lambda + 2 eps/h^2 + (b_{j-1/2} - b_{j+1/2})/(2h), with periodic
+    corners. Every row sums to lambda. At the half-node drift of u this is
+    the Newton Jacobian; its transpose is the adjoint (Fokker-Planck) operator.
+    """
+    h = grid.h
+    bm = np.roll(b_half, 1)  # b_{j-1/2}
+    visc = eps / (h * h)
+    return CyclicTridiagonalMatrix(diag=lam + 2.0 * visc + (bm - b_half) / (2.0 * h),
+                                   sub=-bm / (2.0 * h) - visc,
+                                   super=b_half / (2.0 * h) - visc)
+
+
 def _jacobian_arr(model: HamiltonianModel, grid: Grid1D, u: np.ndarray,
                   lam: float, eps: float) -> CyclicTridiagonalMatrix:
-    h = grid.h
-    b = _half_node_drift(model, grid, u)
-    bm = np.roll(b, 1)  # b_{j-1/2}
-    visc = eps / (h * h)
-    return CyclicTridiagonalMatrix(diag=lam + 2.0 * visc + (bm - b) / (2.0 * h),
-                                   sub=-bm / (2.0 * h) - visc,
-                                   super=b / (2.0 * h) - visc)
+    return drift_diffusion_bands(grid, _half_node_drift(model, grid, u), lam, eps)
 
 
 def _expansion_free(sub: np.ndarray, sup: np.ndarray) -> bool:
@@ -96,13 +105,8 @@ def viscous_residual(model: HamiltonianModel, u: ScalarField, lam: float,
 
 def viscous_jacobian(model: HamiltonianModel, u: ScalarField, lam: float,
                      eps: float) -> CyclicTridiagonalMatrix:
-    """Exact Jacobian of the residual at u.
-
-    With the half-node drift b_{j+1/2} = dHdp(x_{j+1/2}, D+u_j):
-    super_j = b_{j+1/2}/(2h) - eps/h^2, sub_j = -b_{j-1/2}/(2h) - eps/h^2,
-    diag_j = lambda + 2 eps/h^2 + (b_{j-1/2} - b_{j+1/2})/(2h), with periodic
-    corners. Every row sums to lambda.
-    """
+    """Exact Jacobian of the residual at u: drift_diffusion_bands at the
+    half-node drift b_{j+1/2} = dHdp(x_{j+1/2}, D+u_j)."""
     return _jacobian_arr(model, u.grid, u.values, lam, eps)
 
 
@@ -164,12 +168,7 @@ def solve_viscous(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
     if not (eps > 0.0 and np.isfinite(eps)):
         raise ValueError(f"eps must be positive, got {eps!r}")
     opts = opts or ViscousOptions()
-    if opts.initial_guess is not None:
-        if opts.initial_guess.grid != grid:
-            raise ValueError("initial guess lives on a different grid")
-        u0 = opts.initial_guess.values.copy()
-    else:
-        u0 = np.zeros(grid.n)
+    u0 = np.zeros(grid.n)
 
     u, iters, rnorm, ok = _newton(model, lam, eps, grid, u0, opts)
     if ok or not opts.continuation:
@@ -189,73 +188,3 @@ def solve_viscous(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
         if not ok:
             break
     return ScalarField(grid, warm), SolveReport(total, rnorm, ok and chain[-1] == eps, steps)
-
-
-# ----------------------------------------------------------------------------
-# Neumann problem on the half interval [0, pi]: the torus solve, restricted
-
-
-@dataclass(frozen=True)
-class HalfIntervalField:
-    """Nodal values on x_j = j*pi/n_half, j = 0..n_half (both endpoints kept)."""
-
-    n_half: int
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float)
-        vals.setflags(write=False)
-        if vals.shape != (self.n_half + 1,):
-            raise ValueError("half-interval field needs n_half + 1 values")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def h(self) -> float:
-        return np.pi / self.n_half
-
-    @property
-    def x(self) -> np.ndarray:
-        return self.h * np.arange(self.n_half + 1)
-
-
-def _check_reflection_symmetry(model: HamiltonianModel, n_probe: int = 64) -> None:
-    """The Neumann reduction assumes H(x, p) = H(2*pi - x, -p)."""
-    xs = np.linspace(0.0, np.pi, n_probe)
-    ps = np.linspace(-3.0, 3.0, 7)
-    a = model.h(xs[:, None], ps[None, :])
-    b = model.h((2.0 * np.pi - xs)[:, None], (-ps)[None, :])
-    gap = float(np.max(np.abs(a - b)))
-    if gap > 1e-9:
-        raise ValueError(
-            f"model {model.descriptor!r} is not symmetric under x -> 2*pi - x, p -> -p "
-            f"(gap {gap:.3e}); the Neumann reduction does not apply")
-
-
-def neumann_residual(model: HamiltonianModel, lam: float, eps: float,
-                     u: np.ndarray, n_half: int) -> np.ndarray:
-    """Half-node residual on [0, pi] with ghost nodes u_{-1} = u_1 and u_{N+1} = u_{N-1}."""
-    h = np.pi / n_half
-    ext = np.concatenate([[u[1]], u, [u[-2]]])
-    g = model.h(h * (np.arange(n_half + 2) - 0.5), np.diff(ext) / h)  # G_{j-1/2}, j = 0..N+1
-    lap = (ext[2:] - 2.0 * u + ext[:-2]) / (h * h)
-    return lam * u + 0.5 * (g[:-1] + g[1:]) - eps * lap
-
-
-def solve_viscous_neumann(model: HamiltonianModel, lam: float, eps: float,
-                          n_half: int, opts: ViscousOptions | None = None
-                          ) -> tuple[HalfIntervalField, SolveReport]:
-    """Half-interval solve for reflection-symmetric models.
-
-    The even extension of a Neumann solution on [0, pi] solves the torus
-    problem, and the ghost nodes u_{-1} = u_1, u_{N+1} = u_{N-1} are that
-    extension. So this is solve_viscous on 2*n_half torus nodes, restricted
-    to j = 0..n_half, with the torus report; neumann_residual evaluates the
-    ghost-node residual of the returned field independently.
-    """
-    if not (lam > 0.0 and math.isfinite(lam) and eps > 0.0 and math.isfinite(eps)):
-        raise ValueError(f"lambda and eps must be positive and finite, got {lam!r}, {eps!r}")
-    if n_half < 4:
-        raise ValueError("n_half must be at least 4")
-    _check_reflection_symmetry(model)
-    u, report = solve_viscous(model, lam, eps, Grid1D(2 * n_half), opts)
-    return HalfIntervalField(n_half, u.values[:n_half + 1]), report

@@ -224,12 +224,18 @@ def test_criterion_11_small_instance_brute_force(pendulum):
     u, report = hv.solve_viscous(pendulum, lam, eps, grid)
     assert report.converged
     theta = hv.solve_adjoint_stationary(pendulum, u, lam, eps, x0)
-    b = hv.drift_field(pendulum, u)
-    a = hv.divergence_operator_bands(grid, b.values)
+    b = hv.drift_field(pendulum, u).values
+    # flux form F_{j+1/2} = (b_j + b_{j+1})/2 * (theta_j + theta_{j+1})/2
+    a = np.zeros((n, n))
+    for j in range(n):
+        k = (j + 1) % n
+        c = 0.25 * (b[j] + b[k]) / grid.h
+        a[j, [j, k]] += c
+        a[k, [j, k]] -= c
     lap = (np.eye(n, k=1) + np.eye(n, k=-1) - 2.0 * np.eye(n)) / grid.h ** 2
     lap[0, n - 1] = 1.0 / grid.h ** 2
     lap[n - 1, 0] = 1.0 / grid.h ** 2
-    m = lam * np.eye(n) - a.dense() - eps * lap
+    m = lam * np.eye(n) - a - eps * lap
     rhs = np.zeros(n)
     rhs[x0] = lam / grid.h
     ref = np.linalg.solve(m, rhs)

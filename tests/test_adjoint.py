@@ -16,6 +16,19 @@ def _dense_laplacian(n, h):
     return lap
 
 
+def _dense_divergence(b, h):
+    """(A theta)_j = (F_{j+1/2} - F_{j-1/2})/h with
+    F_{j+1/2} = (b_j + b_{j+1})/2 * (theta_j + theta_{j+1})/2."""
+    n = b.size
+    a = np.zeros((n, n))
+    for j in range(n):
+        k = (j + 1) % n
+        c = 0.25 * (b[j] + b[k]) / h  # weight of theta_j and theta_k in F_{j+1/2}/h
+        a[j, [j, k]] += c
+        a[k, [j, k]] -= c
+    return a
+
+
 def test_stationary_matches_dense_solve(pendulum):
     """n = 32 brute force: same system, dense LU instead of cyclic bands.
 
@@ -29,8 +42,8 @@ def test_stationary_matches_dense_solve(pendulum):
     theta = hv.solve_adjoint_stationary(pendulum, u, lam, eps, x0)
 
     b = hv.drift_field(pendulum, u)
-    a = hv.divergence_operator_bands(grid, b.values)
-    m = lam * np.eye(n) - a.dense() - eps * _dense_laplacian(n, grid.h)
+    a = _dense_divergence(b.values, grid.h)
+    m = lam * np.eye(n) - a - eps * _dense_laplacian(n, grid.h)
     rhs = np.zeros(n)
     rhs[x0] = lam / grid.h
     ref = np.linalg.solve(m, rhs)
@@ -119,7 +132,7 @@ def test_negative_density_is_rejected_not_clamped(pendulum, grid2048):
 def test_adjoint_argument_validation(pendulum):
     grid = hv.Grid1D(64)
     u, _ = hv.solve_viscous(pendulum, 0.1, 0.1, grid)
-    for bad in (-1, 64):
+    for bad in (-1, 64, 2.5, np.float64(3.0), True):
         with pytest.raises(ValueError):
             hv.solve_adjoint_stationary(pendulum, u, 0.1, 0.1, bad)
     with pytest.raises(ValueError):
@@ -172,8 +185,9 @@ def test_fokker_planck_is_lazy_and_validates():
     assert hasattr(it, "__next__")  # generator, not a materialized list
     with pytest.raises(ValueError):
         list(hv.evolve_fokker_planck(drift, 0.0, 0, 1.0))
-    with pytest.raises(ValueError):
-        list(hv.evolve_fokker_planck(drift, 0.5, 99, 1.0))
+    for bad in (99, 2.5, np.float64(3.0), True):
+        with pytest.raises(ValueError):
+            list(hv.evolve_fokker_planck(drift, 0.5, bad, 1.0))
     with pytest.raises(ValueError):
         list(hv.evolve_fokker_planck(drift, 0.5, 0, 1.0, dt=-0.1))
     for eps, t_final, dt in ((math.inf, 1.0, None), (math.nan, 1.0, None),
@@ -181,8 +195,7 @@ def test_fokker_planck_is_lazy_and_validates():
                              (0.5, 1.0, math.inf), (0.5, 1.0, math.nan)):
         with pytest.raises(ValueError, match="finite"):
             next(hv.evolve_fokker_planck(drift, eps, 0, t_final, dt))
-    snaps = hv.fokker_planck_snapshots(drift, 0.5, 0, 1.0, 0.25)
-    assert isinstance(snaps, list)
+    snaps = list(hv.evolve_fokker_planck(drift, 0.5, 0, 1.0, 0.25))
     assert len(snaps) == 5  # t = 0 plus 4 steps
     assert snaps[-1][0] == pytest.approx(1.0)
 

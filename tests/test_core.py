@@ -198,3 +198,8 @@ def test_inf_norm_diff():
     assert hv.inf_norm_diff(a, a) == 0.0
     with pytest.raises(ValueError):
         hv.inf_norm_diff(a, hv.ScalarField(hv.Grid1D(32), np.zeros(32)))
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in hv.__all__ if not hasattr(hv, name)]
+    assert not missing, missing

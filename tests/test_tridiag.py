@@ -37,12 +37,21 @@ def test_matches_dense_oracle():
         for k in range(3):
             rhs = np.random.RandomState(200 + 10 * seed + k).standard_normal(8)
             assert np.max(np.abs(solve(rhs) - np.linalg.solve(m.dense(), rhs))) <= 1e-12
+        # stacked right-hand sides, k = n included
+        for k in (3, 8):
+            rhs = np.random.RandomState(300 + 10 * seed + k).standard_normal((8, k))
+            assert np.max(np.abs(solve(rhs) - np.linalg.solve(m.dense(), rhs))) <= 1e-12
 
 
 def test_matvec_agrees_with_dense():
     m = _random_dominant(9, 42)
     v = np.random.RandomState(5).standard_normal(9)
     assert np.max(np.abs(m.matvec(v) - m.dense() @ v)) <= 1e-14
+
+
+def test_transpose_is_dense_transpose():
+    m = _random_dominant(9, 42)
+    assert np.array_equal(m.transpose().dense(), m.dense().T)
 
 
 def test_corner_entries_are_wired_to_the_right_slots():

@@ -165,14 +165,11 @@ def test_stalled_newton_reports_failure(pendulum):
 def test_underresolved_viscosity_is_flagged_not_faked(pendulum, grid2048):
     # eps = lambda^2 = 1e-6: the kink width sqrt(eps) is far below h and the
     # roundoff floor of the second difference sits above the tolerance, so
-    # the solve must report failure rather than return a polluted field; the
-    # Neumann half interval is the same torus solve and must say so too
-    _, torus = hv.solve_viscous(pendulum, 1e-3, 1e-6, grid2048)
-    _, neumann = hv.solve_viscous_neumann(pendulum, 1e-3, 1e-6, 1024)
-    for report in (torus, neumann):
-        assert not report.converged
-        assert report.continuation_steps >= 1
-        assert 1e-10 < report.final_residual_inf < 1e-6
+    # the solve must report failure rather than return a polluted field
+    _, report = hv.solve_viscous(pendulum, 1e-3, 1e-6, grid2048)
+    assert not report.converged
+    assert report.continuation_steps >= 1
+    assert 1e-10 < report.final_residual_inf < 1e-6
 
 
 def test_continuation_agrees_with_cold_start(pendulum):
@@ -182,15 +179,6 @@ def test_continuation_agrees_with_cold_start(pendulum):
     u_warm, rep_warm = hv.solve_viscous(pendulum, 0.01, 1e-3, g)
     assert rep_cold.converged and rep_warm.converged
     assert hv.inf_norm_diff(u_cold, u_warm) <= 1e-12
-
-
-def test_warm_restart_from_exact_solution(pendulum):
-    g = hv.Grid1D(128)
-    u0, _ = hv.solve_viscous(pendulum, 0.1, 0.05, g)
-    opts = hv.ViscousOptions(initial_guess=u0)
-    u1, report = hv.solve_viscous(pendulum, 0.1, 0.05, g, opts)
-    assert report.iterations == 0
-    assert hv.inf_norm_diff(u0, u1) == 0.0
 
 
 def test_options_and_argument_validation(pendulum):
@@ -203,34 +191,6 @@ def test_options_and_argument_validation(pendulum):
         hv.solve_viscous(pendulum, 0.0, 0.05, g)
     with pytest.raises(ValueError):
         hv.solve_viscous(pendulum, 0.1, -0.05, g)
-    guess = hv.ScalarField(hv.Grid1D(32), np.zeros(32))
-    with pytest.raises(ValueError):
-        hv.solve_viscous(pendulum, 0.1, 0.05, g,
-                         hv.ViscousOptions(initial_guess=guess))
-
-
-def test_neumann_half_interval_matches_torus(pendulum):
-    lam, eps = 0.1, 0.1 ** 1.2
-    half, report = hv.solve_viscous_neumann(pendulum, lam, eps, 1024)
-    assert report.converged
-    u, _ = _solve(pendulum, lam, eps, 2048)
-    gap = float(np.max(np.abs(half.values - u.values[:1025])))
-    assert gap <= 1e-8
-
-    res = hv.neumann_residual(pendulum, lam, eps, half.values, 1024)
-    assert float(np.max(np.abs(res))) <= 1e-10
-
-
-def test_neumann_requires_reflection_symmetry():
-    lopsided = hv.separable_hamiltonian(np.sin)
-    with pytest.raises(ValueError, match="symmetric"):
-        hv.solve_viscous_neumann(lopsided, 0.1, 0.1, 64)
-    with pytest.raises(ValueError):
-        hv.solve_viscous_neumann(hv.pendulum_hamiltonian(), 0.1, 0.1, 3)
-
-
-@pytest.mark.parametrize("lam, eps", [(np.inf, 0.1), (np.nan, 0.1),
-                                      (0.1, np.inf), (0.1, np.nan)])
-def test_neumann_rejects_non_finite_parameters(pendulum, lam, eps):
-    with pytest.raises(ValueError, match="finite"):
-        hv.solve_viscous_neumann(pendulum, lam, eps, 64)
+    for lam, eps in ((np.inf, 0.1), (np.nan, 0.1), (0.1, np.inf), (0.1, np.nan)):
+        with pytest.raises(ValueError):
+            hv.solve_viscous(pendulum, lam, eps, g)
