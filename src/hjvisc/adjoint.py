@@ -1,17 +1,17 @@
 """Adjoint (occupation density) solvers for the linearized transport operator.
 
-Given a solved u and a nodal drift b_j (dH/dp(x_j, Du_j) by default), the
-stationary adjoint density solves
+Given a solved u and its half-node drift b_{j+1/2} = dH/dp(x_{j+1/2}, D+u_j),
+the same drift the Newton Jacobian differentiates, the stationary adjoint
+density solves
 
     lambda*theta - D[b*theta] = eps*L*theta + lambda*delta_{x0},
 
 where D[.] is a conservative flux-form divergence: differences of half-node
-fluxes F_{j+1/2} = b_{j+1/2} * (theta_j + theta_{j+1})/2 with the drift
-averaged onto half nodes, b_{j+1/2} = (b_j + b_{j+1})/2, and L the periodic
-Laplacian stencil. Its matrix is the transpose of viscous.drift_diffusion_bands
-at that averaged drift, the discrete adjoint of the Newton Jacobian's stencil.
-Column sums of the divergence telescope to zero, so h * sum(theta) = 1 holds
-exactly up to linear-solver roundoff.
+fluxes F_{j+1/2} = b_{j+1/2} * (theta_j + theta_{j+1})/2, and L the periodic
+Laplacian stencil. Its matrix is J^T, the transpose of the Newton Jacobian
+J = viscous_jacobian(u), so h*theta^T J v = lambda*v(x0) holds for every
+grid function v up to linear-solver roundoff. Column sums of the divergence
+telescope to zero, so h * sum(theta) = 1 holds to the same roundoff.
 
 The same operator drives the Fokker-Planck evolution
 
@@ -29,27 +29,18 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .core import (ConvergenceError, DensityField, Grid1D, HamiltonianModel,
-                   ScalarField, central_gradient)
+                   ScalarField)
 from .tridiag import (CyclicTridiagonalMatrix, factor_cyclic_tridiagonal,
                       solve_cyclic_tridiagonal)
-from .viscous import drift_diffusion_bands
+from .viscous import _half_node_drift, drift_diffusion_bands, viscous_jacobian
 
 NEGATIVITY_REJECT = -1e-8
 
 
 def drift_field(model: HamiltonianModel, u: ScalarField) -> ScalarField:
-    """b_j = dH/dp(x_j, Du_j) with the central gradient of u."""
-    du = central_gradient(u).values
-    return ScalarField(u.grid, np.asarray(model.dhdp(u.grid.x, du), dtype=float))
-
-
-def _adjoint_bands(grid: Grid1D, b: np.ndarray, lam: float, eps: float
-                   ) -> CyclicTridiagonalMatrix:
-    """Bands of lambda*I - D[b*.] - eps*L for the nodal drift b."""
-    b = np.asarray(b, dtype=float)
-    if b.shape != (grid.n,):
-        raise ValueError("drift length does not match the grid")
-    return drift_diffusion_bands(grid, 0.5 * (b + np.roll(b, -1)), lam, eps).transpose()
+    """Half-node drift b_{j+1/2} = dH/dp(x_{j+1/2}, D+u_j), stored at index j:
+    the drift of the Newton Jacobian, the adjoint and the measure."""
+    return ScalarField(u.grid, _half_node_drift(model, u.grid, u.values))
 
 
 def _check_source(grid: Grid1D, x0_index: int) -> None:
@@ -62,18 +53,20 @@ def solve_adjoint_stationary(model: HamiltonianModel, u: ScalarField, lam: float
                              eps: float, x0_index: int = 0) -> DensityField:
     """Stationary adjoint density with a unit Dirac source at node x0_index.
 
-    The Dirac is the discrete delta 1/h at one node. Entries below -1e-8 mean
-    the centered flux discretization stopped being monotone at this h and the
-    solve is rejected (refine the grid or raise eps); milder negative dips are
-    roundoff and are clamped before the final renormalization, whose factor
-    must stay within 1e-6 of 1 and is recorded on the returned field.
+    The Dirac is the discrete delta 1/h at one node, and the matrix is the
+    transpose of the Newton Jacobian at u. Where the cell Peclet number
+    |b_{j+1/2}|*h/(2*eps) exceeds 1 the half-node stencil is not monotone and
+    theta can dip below zero: entries below -1e-8 reject the solve (refine
+    the grid or raise eps); milder negative dips are roundoff and are clamped
+    before the final renormalization, whose factor must stay within 1e-6 of 1
+    and is recorded on the returned field.
     """
     grid = u.grid
     if not (lam > 0.0 and math.isfinite(lam) and eps > 0.0 and math.isfinite(eps)):
         raise ValueError(f"lambda and eps must be positive and finite, got {lam!r}, {eps!r}")
     _check_source(grid, x0_index)
 
-    system = _adjoint_bands(grid, drift_field(model, u).values, lam, eps)
+    system = viscous_jacobian(model, u, lam, eps).transpose()
     rhs = np.zeros(grid.n)
     rhs[x0_index] = lam / grid.h
     theta = solve_cyclic_tridiagonal(system, rhs)
@@ -97,13 +90,13 @@ def evolve_fokker_planck(drift: ScalarField, eps: float, x0_index: int,
                          ) -> Iterator[tuple[float, DensityField]]:
     """Implicit-Euler Fokker-Planck evolution from a discrete Dirac.
 
-    The drift is any nodal field b (dH/dp of a solved u, or an averaged
-    drift); dt defaults to the grid spacing h. Yields (t_k, rho_k) lazily,
-    starting with (0, delta/h), so long horizons never materialize in memory;
-    wrap in list() for short runs. The stepping matrix is factorized once,
-    by the same cyclic tridiagonal factorization as every other banded solve.
-    Every snapshot is validated through DensityField (mass within 1e-8 of 1,
-    entries >= -1e-12).
+    The drift is a half-node field, b_{j+1/2} stored at index j (drift_field
+    of a solved u, or an averaged_drift); dt defaults to the grid spacing h.
+    Yields (t_k, rho_k) lazily, starting with (0, delta/h), so long horizons
+    never materialize in memory; wrap in list() for short runs. The stepping
+    matrix is factorized once, by the same cyclic tridiagonal factorization
+    as every other banded solve. Every snapshot is validated through
+    DensityField (mass within 1e-8 of 1, entries >= -1e-12).
     """
     grid = drift.grid
     if dt is None:
@@ -114,7 +107,8 @@ def evolve_fokker_planck(drift: ScalarField, eps: float, x0_index: int,
         raise ValueError("horizon shorter than one step")
     _check_source(grid, x0_index)
 
-    gen = _adjoint_bands(grid, drift.values, 0.0, eps)  # -(D[b*.] + eps*L)
+    # -(D[b*.] + eps*L): the Jacobian's stencil at lambda = 0, transposed
+    gen = drift_diffusion_bands(grid, drift.values, 0.0, eps).transpose()
     step = factor_cyclic_tridiagonal(CyclicTridiagonalMatrix(
         diag=1.0 + dt * gen.diag, sub=dt * gen.sub, super=dt * gen.super))
 
@@ -178,33 +172,31 @@ def stationary_from_transient(rho_sequence: Iterable[tuple[float, DensityField]]
 
 
 def averaged_drift(u_eps: ScalarField, u_delta: ScalarField,
-                   model: HamiltonianModel, quad_points: int = 4) -> ScalarField:
-    """vartheta_j = int_0^1 dH/dp(x_j, r*Du_eps_j + (1-r)*Du_delta_j) dr.
+                   model: HamiltonianModel) -> ScalarField:
+    """vartheta_{j+1/2} = int_0^1 dH/dp(x_{j+1/2}, r*D+u_eps_j + (1-r)*D+u_delta_j) dr.
 
-    Gauss-Legendre on [0, 1]; four points already integrate the separable
-    (linear in p) case exactly, more are allowed for strongly nonlinear dH/dp.
+    The half-node secant drift, stored at index j: drift_diffusion_bands at
+    vartheta maps u_eps - u_delta to F(u_eps) - F(u_delta), F the viscous
+    residual. Four Gauss-Legendre points on [0, 1] integrate any dH/dp of
+    degree <= 7 in p exactly.
     """
     if u_eps.grid != u_delta.grid:
         raise ValueError("fields live on different grids")
-    if quad_points < 4:
-        raise ValueError("use at least 4 Gauss-Legendre points")
     grid = u_eps.grid
-    ga = central_gradient(u_eps).values
-    gb = central_gradient(u_delta).values
-    nodes, weights = np.polynomial.legendre.leggauss(quad_points)
-    r = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
+    nodes, weights = np.polynomial.legendre.leggauss(4)
     out = np.zeros(grid.n)
-    for ri, wi in zip(r, w):
-        out += wi * np.asarray(model.dhdp(grid.x, ri * ga + (1.0 - ri) * gb), dtype=float)
+    for ri, wi in zip(0.5 * (nodes + 1.0), 0.5 * weights):
+        # D+ is linear: the gradient of the blend is the blend of the gradients
+        blend = ri * u_eps.values + (1.0 - ri) * u_delta.values
+        out += wi * _half_node_drift(model, grid, blend)
     return ScalarField(grid, out)
 
 
-def entropy_diagnostic(rho: DensityField, clamp: float = 1e-300) -> float:
+def entropy_diagnostic(rho: DensityField) -> float:
     """h * sum_j |log rho_j| * rho_j with rho clamped below at 1e-300.
 
     A crude information-size gauge: log(1/h) for a one-node spike, log(2*pi)
     for the uniform density on the default torus.
     """
-    vals = np.maximum(rho.values, clamp)
+    vals = np.maximum(rho.values, 1e-300)
     return float(rho.grid.h * np.sum(np.abs(np.log(vals)) * rho.values))

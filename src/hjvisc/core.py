@@ -274,24 +274,18 @@ def generic_hamiltonian(
                             critical_constant=critical_constant)
 
 
-def verify_tonelli(
-    model: HamiltonianModel,
-    grid: Grid1D,
-    p_range: float = 10.0,
-    n_p: int = 41,
-    theta_floor: float = 1e-8,
-) -> float:
-    """Check positive definiteness in p on the working window |p| <= p_range.
+def verify_tonelli(model: HamiltonianModel, grid: Grid1D) -> float:
+    """Check positive definiteness in p on the working window |p| <= 10.
 
-    Returns the sampled convexity floor min d2H/dp2; raises if it is not
-    strictly positive. The window covers every momentum the solvers evaluate
-    (gradients of discounted solutions stay well inside |p| <= 10 for the
-    models exercised here).
+    Returns the convexity floor min d2H/dp2 sampled at 41 momenta; raises if
+    it is not above 1e-8. The window covers every momentum the solvers
+    evaluate (gradients of discounted solutions stay well inside |p| <= 10
+    for the models exercised here).
     """
-    ps = np.linspace(-p_range, p_range, n_p)
+    ps = np.linspace(-10.0, 10.0, 41)
     vals = model.d2hdp2(grid.x[:, None], ps[None, :])
     floor = float(np.min(vals))
-    if not floor > theta_floor:
+    if not floor > 1e-8:
         raise ValueError(f"model {model.descriptor!r} is not uniformly convex in p (min d2H/dp2 = {floor})")
     return floor
 

@@ -86,15 +86,15 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, floa
 
     Returns (slope, intercept, r_squared); intercept is in log units, so
     points on y = 3 x^0.6 give (0.6, log 3, 1). Needs at least 3 strictly
-    positive points.
+    positive, finite points.
     """
     pts = np.asarray(list(points), dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("points must be (x, y) pairs")
     if pts.shape[0] < 3:
         raise ValueError("need at least 3 points to fit")
-    if not np.all(pts > 0.0):
-        raise ValueError("log-log fit needs strictly positive coordinates")
+    if not np.all((pts > 0.0) & np.isfinite(pts)):
+        raise ValueError("log-log fit needs strictly positive finite coordinates")
     lx = np.log(pts[:, 0])
     ly = np.log(pts[:, 1])
     slope, intercept = np.polyfit(lx, ly, 1)

@@ -7,10 +7,14 @@ u = omega + (c(H) - c(eps))/lambda, the centered part omega stays bounded,
 so polynomial (Richardson) extrapolation of lambda * u(x0) in lambda
 recovers the limit at first order and better.
 
-The measure mu built from a solved pair (u, theta) puts weight h*theta_j on
-the phase point (x_j, dH/dp(x_j, Du_j)). Its Lagrangian action equals
-lambda * u(x0) up to the O(h^2) consistency of the stencils, and it is
-eps-closed: sum w * (v * Dphi - eps * Lphi) = O(lambda) for smooth phi.
+The measure mu built from a solved pair (u, theta) puts weight
+h*(theta_j + theta_{j+1})/2 on the half-node phase point (x_{j+1/2}, b_{j+1/2}),
+b_{j+1/2} = dH/dp(x_{j+1/2}, D+u_j) the drift of the Newton Jacobian J. Since
+theta solves J^T theta = lambda*delta_{x0}/h, its Lagrangian action equals
+lambda * u(x0) up to the Newton residual and solver roundoff, and it is
+eps-closed: h*sum_j theta_j*(J phi - lambda*phi)_j = lambda*(phi(x0) - <phi, theta>)
+for every grid function phi. closedness_defect gauges that quantity from the
+measure alone, up to O(h^2).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .adjoint import drift_field
 from .core import (ConvergenceError, DensityField, Grid1D, HamiltonianModel,
-                   ScalarField, central_gradient, discrete_laplacian)
+                   ScalarField, discrete_laplacian)
 from .viscous import ViscousOptions, solve_viscous
 
 
@@ -113,18 +117,18 @@ def extract_measure(model: HamiltonianModel, u: ScalarField,
                     theta: DensityField) -> DiscreteMeasure:
     """Push theta onto the graph of the optimal velocity field.
 
-    Support points are (x_j, dH/dp(x_j, Du_j)), the nodal drift of
-    adjoint.drift_field; the weight at node j is h * theta_j, renormalized
-    to sum exactly 1.
+    Support points are the n half nodes (x_{j+1/2}, b_{j+1/2}), b the drift
+    of adjoint.drift_field; the weight at x_{j+1/2} is h*(theta_j + theta_{j+1})/2,
+    renormalized to sum exactly 1.
     """
     if not isinstance(theta, DensityField):
         raise ValueError("theta must be a DensityField")
     if u.grid != theta.grid:
         raise ValueError("u and theta live on different grids")
     grid = u.grid
-    weights = grid.h * theta.values
+    weights = 0.5 * grid.h * (theta.values + np.roll(theta.values, -1))
     weights = weights / float(weights.sum())
-    return DiscreteMeasure(grid.x, drift_field(model, u).values, weights)
+    return DiscreteMeasure(grid.x + 0.5 * grid.h, drift_field(model, u).values, weights)
 
 
 def measure_action(mu: DiscreteMeasure, model: HamiltonianModel) -> float:
@@ -135,17 +139,24 @@ def measure_action(mu: DiscreteMeasure, model: HamiltonianModel) -> float:
 
 def closedness_defect(mu: DiscreteMeasure, eps: float,
                       test_fn: ScalarField) -> float:
-    """|sum_j w_j * (v_j * Dphi(x_j) - eps * Lphi(x_j))| for a grid test field.
+    """|sum_j w_j * (v_j * D+phi_j - eps * (Lphi_j + Lphi_{j+1})/2)| for a grid test field.
 
-    For the measure of a discounted solve this equals
-    |lambda*phi(x0) - lambda*int phi dmu| up to O(h^2), so it shrinks
-    proportionally to lambda: the measure is eps-closed in the limit.
+    The support must sit on the test grid's half nodes x_{j+1/2}, where the
+    point j carries the forward difference D+phi_j. For the measure of a
+    discounted solve this equals |lambda*(phi(x0) - h*sum_j theta_j*phi_j)| up
+    to the O(eps*h^2) of the averaged Lphi: an O(lambda) + O(h^2) gauge that
+    shrinks proportionally to lambda, so the measure is eps-closed in the limit.
     """
+    if not (eps >= 0.0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be nonnegative and finite, got {eps!r}")
     grid = test_fn.grid
-    dphi = central_gradient(test_fn).values
+    idx = np.rint(mu.positions / grid.h - 0.5).astype(int) % grid.n
+    half_nodes = grid.x + 0.5 * grid.h
+    if float(np.max(np.abs(half_nodes[idx] - np.mod(mu.positions, grid.length)))) > 1e-9:
+        raise ValueError("measure support does not sit on the test field's half nodes")
+    phi = test_fn.values
+    dphi = (np.roll(phi, -1) - phi) / grid.h
     lphi = discrete_laplacian(test_fn).values
-    idx = np.rint(mu.positions / grid.h).astype(int) % grid.n
-    if float(np.max(np.abs(grid.x[idx] - np.mod(mu.positions, grid.length)))) > 1e-9:
-        raise ValueError("measure support does not sit on the test field's grid nodes")
+    lphi = 0.5 * (lphi + np.roll(lphi, -1))
     integrand = mu.velocities * dphi[idx] - eps * lphi[idx]
     return float(abs(np.sum(mu.weights * integrand)))

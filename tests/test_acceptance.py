@@ -112,13 +112,15 @@ def test_criterion_05_adjoint_identities(pendulum, std_run):
 
     # (ii) the generator of the drift diffusion integrates against theta
     # like a point evaluation; x0 = n/2 keeps the right side away from its
-    # cancellation at the potential maximum
+    # cancellation at the potential maximum. The half-node drift b_{j+1/2}
+    # pairs with D+psi_j at the weight (theta_j + theta_{j+1})/2.
     psi = np.cos(grid.x)
-    dpsi = hv.central_gradient(hv.ScalarField(grid, psi)).values
+    dpsi = (np.roll(psi, -1) - psi) / grid.h
     lpsi = hv.discrete_laplacian(hv.ScalarField(grid, psi)).values
     b = hv.drift_field(pendulum, u).values
     theta = std_run["theta_half"]
-    lhs = grid.h * float(np.sum((dpsi * b - eps * lpsi) * theta.values))
+    theta_mid = 0.5 * (theta.values + np.roll(theta.values, -1))
+    lhs = grid.h * float(np.sum(dpsi * b * theta_mid - eps * lpsi * theta.values))
     avg = grid.h * float(np.sum(psi * theta.values))
     rhs = lam * (psi[grid.n // 2] - avg)
     assert abs(lhs - rhs) / abs(rhs) <= 1e-3, (lhs, rhs)
@@ -224,12 +226,13 @@ def test_criterion_11_small_instance_brute_force(pendulum):
     u, report = hv.solve_viscous(pendulum, lam, eps, grid)
     assert report.converged
     theta = hv.solve_adjoint_stationary(pendulum, u, lam, eps, x0)
-    b = hv.drift_field(pendulum, u).values
-    # flux form F_{j+1/2} = (b_j + b_{j+1})/2 * (theta_j + theta_{j+1})/2
+    # pendulum: b_{j+1/2} = dH/dp(x_{j+1/2}, D+u_j) = D+u_j
+    b = (np.roll(u.values, -1) - u.values) / grid.h
+    # flux form F_{j+1/2} = b_{j+1/2} * (theta_j + theta_{j+1})/2
     a = np.zeros((n, n))
     for j in range(n):
         k = (j + 1) % n
-        c = 0.25 * (b[j] + b[k]) / grid.h
+        c = 0.5 * b[j] / grid.h
         a[j, [j, k]] += c
         a[k, [j, k]] -= c
     lap = (np.eye(n, k=1) + np.eye(n, k=-1) - 2.0 * np.eye(n)) / grid.h ** 2

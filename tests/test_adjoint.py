@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import hjvisc as hv
 
@@ -18,12 +19,12 @@ def _dense_laplacian(n, h):
 
 def _dense_divergence(b, h):
     """(A theta)_j = (F_{j+1/2} - F_{j-1/2})/h with
-    F_{j+1/2} = (b_j + b_{j+1})/2 * (theta_j + theta_{j+1})/2."""
+    F_{j+1/2} = b_{j+1/2} * (theta_j + theta_{j+1})/2, b_{j+1/2} stored at j."""
     n = b.size
     a = np.zeros((n, n))
     for j in range(n):
         k = (j + 1) % n
-        c = 0.25 * (b[j] + b[k]) / h  # weight of theta_j and theta_k in F_{j+1/2}/h
+        c = 0.5 * b[j] / h  # weight of theta_j and theta_k in F_{j+1/2}/h
         a[j, [j, k]] += c
         a[k, [j, k]] -= c
     return a
@@ -32,7 +33,7 @@ def _dense_divergence(b, h):
 def test_stationary_matches_dense_solve(pendulum):
     """n = 32 brute force: same system, dense LU instead of cyclic bands.
 
-    eps = 0.2 keeps the centered divergence monotone on the coarse grid;
+    eps = 0.2 keeps the half-node divergence monotone on the coarse grid;
     weaker viscosity trips the negativity gate (covered separately).
     """
     n, lam, eps, x0 = 32, 0.1, 0.2, 0
@@ -41,8 +42,9 @@ def test_stationary_matches_dense_solve(pendulum):
     assert report.converged
     theta = hv.solve_adjoint_stationary(pendulum, u, lam, eps, x0)
 
-    b = hv.drift_field(pendulum, u)
-    a = _dense_divergence(b.values, grid.h)
+    # pendulum: b_{j+1/2} = dH/dp(x_{j+1/2}, D+u_j) = D+u_j
+    b = (np.roll(u.values, -1) - u.values) / grid.h
+    a = _dense_divergence(b, grid.h)
     m = lam * np.eye(n) - a - eps * _dense_laplacian(n, grid.h)
     rhs = np.zeros(n)
     rhs[x0] = lam / grid.h
@@ -50,6 +52,44 @@ def test_stationary_matches_dense_solve(pendulum):
     ref = ref / (float(ref.sum()) * grid.h)
     rel = np.max(np.abs(theta.values - ref)) / np.max(np.abs(ref))
     assert rel <= 1e-10
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(coeffs=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                       min_size=1, max_size=3),
+       lam=st.floats(1e-2, 1.0), n=st.integers(8, 512),
+       eps_scale=st.floats(1.0, 8.0), source=st.floats(0.0, 1.0, exclude_max=True))
+def test_random_potentials_solve_finite_and_adjoint_is_transpose(coeffs, lam, n,
+                                                                 eps_scale, source):
+    """V = sum_k a_k cos(kx) + b_k sin(kx), H = p^2/2 + V, eps at or above
+    h*max|b|/2 (cell Peclet <= 1). solve_viscous returns a finite field; when
+    it converged, the adjoint solves J^T theta = lambda*delta/h with unit
+    mass, or rejects the state with the "refine" ConvergenceError."""
+    def potential(x):
+        return sum(a * np.cos(k * x) + b * np.sin(k * x)
+                   for k, (a, b) in enumerate(coeffs, start=1))
+
+    model = hv.separable_hamiltonian(potential, name="random")
+    grid = hv.Grid1D(n)
+    v = potential(np.linspace(0.0, hv.TWO_PI, 4097))
+    # |u'| <= sqrt(2*osc V) for the inviscid solution; the pad covers viscous drift
+    eps = eps_scale * grid.h * (np.sqrt(2.0 * float(v.max() - v.min())) + 0.1) / 2.0
+    u, report = hv.solve_viscous(model, lam, eps, grid)
+    assert np.all(np.isfinite(u.values)) and np.isfinite(report.final_residual_inf)
+    if not report.converged:
+        return
+    assume(grid.h * float(np.max(np.abs(hv.drift_field(model, u).values))) <= 2.0 * eps)
+    x0 = int(source * n)
+    try:
+        theta = hv.solve_adjoint_stationary(model, u, lam, eps, x0)
+    except hv.ConvergenceError as exc:
+        assert "refine" in str(exc)
+        return
+    assert abs(grid.h * float(theta.values.sum()) - 1.0) <= 1e-12
+    rhs = np.zeros(n)
+    rhs[x0] = lam / (grid.h * theta.renorm_factor)
+    jac_t = hv.viscous_jacobian(model, u, lam, eps).transpose()
+    assert np.max(np.abs(jac_t.matvec(theta.values) - rhs)) <= 1e-9 * rhs[x0]
 
 
 def test_zero_drift_density_is_symmetric_about_source():
@@ -91,7 +131,10 @@ def test_adjoint_identity_lagrangian_action(pendulum, std_run):
 
 
 def test_adjoint_identity_test_function(pendulum, std_run):
-    """h * sum (Dpsi * b - eps * Lap psi) theta = lambda*(psi(x0) - int psi theta).
+    """h * sum (D+psi * b * theta_mid - eps * Lap psi * theta) = lambda*(psi(x0) - int psi theta).
+
+    b_{j+1/2} pairs with D+psi_j at the half-node weight
+    theta_mid_j = (theta_j + theta_{j+1})/2.
 
     At x0 = n/2 the two sides are O(lambda) and the plain relative error is
     meaningful. At x0 = 0 the right side nearly cancels (psi(0) is close to
@@ -102,12 +145,13 @@ def test_adjoint_identity_test_function(pendulum, std_run):
     u = std_run["u"]
     grid = std_run["grid"]
     psi = np.cos(grid.x)
-    dpsi = hv.central_gradient(hv.ScalarField(grid, psi)).values
+    dpsi = (np.roll(psi, -1) - psi) / grid.h
     lpsi = hv.discrete_laplacian(hv.ScalarField(grid, psi)).values
     b = hv.drift_field(pendulum, u).values
 
     def defect(theta, x0):
-        lhs = grid.h * float(np.sum((dpsi * b - eps * lpsi) * theta.values))
+        theta_mid = 0.5 * (theta.values + np.roll(theta.values, -1))
+        lhs = grid.h * float(np.sum(dpsi * b * theta_mid - eps * lpsi * theta.values))
         avg = grid.h * float(np.sum(psi * theta.values))
         rhs = lam * (psi[x0] - avg)
         return lhs, rhs
@@ -119,9 +163,23 @@ def test_adjoint_identity_test_function(pendulum, std_run):
     assert abs(lhs - rhs) / lam <= 1e-3  # scale-normalized; see docstring
 
 
+def test_stationary_system_is_jacobian_transpose(pendulum, std_run):
+    """J^T theta = lambda*delta_{x0}/(h*renorm_factor), J the Newton Jacobian,
+    at both sources: the adjoint solves the transpose, not a neighbour of it."""
+    lam, eps = std_run["lam"], std_run["eps"]
+    grid = std_run["grid"]
+    jac_t = hv.viscous_jacobian(pendulum, std_run["u"], lam, eps).transpose()
+    for theta, x0 in ((std_run["theta0"], 0),
+                      (std_run["theta_half"], grid.n // 2)):
+        rhs = np.zeros(grid.n)
+        rhs[x0] = lam / (grid.h * theta.renorm_factor)
+        err = np.max(np.abs(jac_t.matvec(theta.values) - rhs))
+        assert err <= 1e-9 * rhs[x0], (x0, err)
+
+
 def test_negative_density_is_rejected_not_clamped(pendulum, grid2048):
-    # off the symmetry axes the centered drift discretization loses
-    # monotonicity once eps/h is small; entries below -1e-8 must reject
+    # off the symmetry axes the half-node drift stencil loses monotonicity
+    # once the cell Peclet number passes 1; entries below -1e-8 must reject
     lam, eps = 1e-2, 1e-3
     u, report = hv.solve_viscous(pendulum, lam, eps, grid2048)
     assert report.converged
@@ -169,7 +227,8 @@ def test_fokker_planck_relaxes_to_uniform():
 def test_fokker_planck_preserves_drift_symmetry():
     n, x0, eps = 64, 17, 0.5
     grid = hv.Grid1D(n)
-    drift = hv.ScalarField(grid, np.sin(grid.x - grid.x[x0]))
+    # half-node drift b_{j+1/2}, odd about x0
+    drift = hv.ScalarField(grid, np.sin(grid.x + 0.5 * grid.h - grid.x[x0]))
     worst = 0.0
     for t, rho in hv.evolve_fokker_planck(drift, eps, x0, 3.0):
         vals = rho.values
@@ -262,18 +321,20 @@ def test_averaged_drift_closed_forms(pendulum):
     direct = hv.drift_field(pendulum, u1)
     assert float(np.max(np.abs(same.values - direct.values))) <= 1e-12
 
-    # H_p = p is linear, so the r-integral is the midpoint exactly
+    # H_p = p is linear, so the r-integral is the midpoint of D+ exactly
     mid = hv.averaged_drift(u1, u2, pendulum)
-    expect = 0.5 * (hv.central_gradient(u1).values
-                    + hv.central_gradient(u2).values)
+    expect = 0.5 * ((np.roll(u1.values, -1) - u1.values)
+                    + (np.roll(u2.values, -1) - u2.values)) / grid.h
     assert float(np.max(np.abs(mid.values - expect))) <= 1e-12
 
-    four = hv.averaged_drift(u1, u2, pendulum, quad_points=4)
-    sixteen = hv.averaged_drift(u1, u2, pendulum, quad_points=16)
-    assert float(np.max(np.abs(four.values - sixteen.values))) <= 1e-12
+    # secant identity: the bands at vartheta map u1 - u2 to F(u1) - F(u2)
+    lam, eps = 0.1, 0.05
+    secant = hv.viscous.drift_diffusion_bands(grid, mid.values, lam, eps)
+    diff = (hv.viscous_residual(pendulum, u1, lam, eps).values
+            - hv.viscous_residual(pendulum, u2, lam, eps).values)
+    err = np.max(np.abs(secant.matvec(u1.values - u2.values) - diff))
+    assert err <= 1e-12 * np.max(np.abs(diff)), err
 
-    with pytest.raises(ValueError):
-        hv.averaged_drift(u1, u2, pendulum, quad_points=2)
     other = hv.ScalarField(hv.Grid1D(64), np.zeros(64))
     with pytest.raises(ValueError):
         hv.averaged_drift(u1, other, pendulum)

@@ -35,6 +35,11 @@ def test_fit_validation():
         hv.fit_loglog_slope([(0.1, 1.0), (-0.2, 2.0), (0.3, 1.0)])
     with pytest.raises(ValueError):
         hv.fit_loglog_slope([(0.1, 0.0), (0.2, 2.0), (0.3, 1.0)])
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            hv.fit_loglog_slope([(0.1, 1.0), (0.2, bad), (0.3, 1.0)])
+        with pytest.raises(ValueError, match="finite"):
+            hv.fit_loglog_slope([(bad, 1.0), (0.2, 2.0), (0.3, 1.0)])
 
 
 def test_sweep_validation(pendulum):

@@ -78,6 +78,19 @@ def test_extract_measure_contract(pendulum, std_run):
         hv.extract_measure(pendulum, u32, std_run["theta0"])
 
 
+def test_measure_action_is_exact(pendulum, std_run):
+    """sum w L(x_{j+1/2}, b_{j+1/2}) = lambda * u(x0) to solver roundoff at
+    both sources: theta solves J^T theta = lambda*delta/h, and J u pays out
+    the half-node Lagrangians (L_{j+1/2} + L_{j-1/2})/2 where F(u) = 0."""
+    lam, u = std_run["lam"], std_run["u"]
+    for theta, x0 in ((std_run["theta0"], 0),
+                      (std_run["theta_half"], std_run["grid"].n // 2)):
+        mu = hv.extract_measure(pendulum, u, theta)
+        action = hv.measure_action(mu, pendulum)
+        target = lam * float(u.values[x0])
+        assert abs(action - target) <= 1e-9 * abs(target), (x0, action, target)
+
+
 def test_measure_concentrates_at_potential_maximum(pendulum, grid2048):
     """Small lambda: the measure piles onto the projected Aubry set.
 
@@ -143,11 +156,27 @@ def test_closedness_defect_shrinks_with_lambda(pendulum, grid2048):
     assert d_big <= 3.0 * 1e-2  # observed constant <= 3*max|phi|
 
 
-def test_closedness_requires_on_node_support(pendulum, std_run):
+def test_eps_closedness_is_exact_for_the_jacobian(pendulum, std_run):
+    """h*sum theta_j*(J phi - lambda*phi)_j = lambda*(phi(x0) - h*sum theta_j*phi_j),
+    J the Newton Jacobian, to 1e-9 relative to lambda at both sources."""
+    lam, eps, grid = std_run["lam"], std_run["eps"], std_run["grid"]
+    jac = hv.viscous_jacobian(pendulum, std_run["u"], lam, eps)
+    for phi in (np.sin(grid.x), np.cos(2.0 * grid.x)):
+        for theta, x0 in ((std_run["theta0"], 0),
+                          (std_run["theta_half"], grid.n // 2)):
+            lhs = grid.h * float(np.sum(theta.values * (jac.matvec(phi) - lam * phi)))
+            rhs = lam * (phi[x0] - grid.h * float(np.sum(theta.values * phi)))
+            assert abs(lhs - rhs) <= 1e-9 * lam, (x0, lhs, rhs)
+
+
+def test_closedness_requires_half_node_support(pendulum, std_run):
     grid = std_run["grid"]
     mu = hv.extract_measure(pendulum, std_run["u"], std_run["theta0"])
-    shifted = hv.DiscreteMeasure(mu.positions + grid.h / 2.0,
+    shifted = hv.DiscreteMeasure(mu.positions + grid.h / 4.0,
                                  mu.velocities, mu.weights)
     phi = hv.ScalarField(grid, np.sin(grid.x))
-    with pytest.raises(ValueError, match="node"):
+    with pytest.raises(ValueError, match="half nodes"):
         hv.closedness_defect(shifted, std_run["eps"], phi)
+    for bad_eps in (np.nan, np.inf, -np.inf, -0.1):
+        with pytest.raises(ValueError, match="eps"):
+            hv.closedness_defect(mu, bad_eps, phi)
