@@ -8,8 +8,7 @@ from .core import (ConvergenceError, DensityField, Grid1D, HamiltonianModel,
                    inf_norm_diff, pendulum_hamiltonian, separable_hamiltonian,
                    verify_tonelli)
 from .tridiag import CyclicTridiagonalMatrix, solve_cyclic_tridiagonal
-from .viscous import (ViscousOptions, solve_viscous, viscous_jacobian,
-                      viscous_residual)
+from .viscous import solve_viscous, viscous_jacobian, viscous_residual
 from .inviscid import (checked_radicand, solve_discounted_lax_friedrichs,
                        solve_pendulum_ode)
 from .adjoint import (averaged_drift, drift_field, entropy_diagnostic,
@@ -31,7 +30,7 @@ __all__ = [
     "inf_norm_diff", "pendulum_hamiltonian", "separable_hamiltonian",
     "verify_tonelli",
     "CyclicTridiagonalMatrix", "solve_cyclic_tridiagonal",
-    "ViscousOptions", "solve_viscous", "viscous_jacobian", "viscous_residual",
+    "solve_viscous", "viscous_jacobian", "viscous_residual",
     "checked_radicand", "solve_discounted_lax_friedrichs", "solve_pendulum_ode",
     "averaged_drift", "drift_field", "entropy_diagnostic", "evolve_fokker_planck",
     "solve_adjoint_stationary", "stationary_from_transient",

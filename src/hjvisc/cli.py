@@ -30,7 +30,7 @@ from .harness import DEFAULT_LAMBDA_LIST, run_sweep, sweep_to_csv, _g17
 from .inviscid import solve_discounted_lax_friedrichs, solve_pendulum_ode
 from .measures import estimate_ergodic_constant
 from .regularize import sup_convolution, subsolution_defect
-from .viscous import ViscousOptions, solve_viscous
+from .viscous import solve_viscous
 
 
 @dataclass(frozen=True)
@@ -259,9 +259,8 @@ def _solve_inviscid_field(cfg: RunConfig, model: HamiltonianModel,
 def _cmd_solve_viscous(cfg: RunConfig) -> int:
     grid = Grid1D(cfg.params["n"])
     model = _build_model(cfg)
-    opts = ViscousOptions(tol_residual_inf=cfg.params["tol"])
     u, report = solve_viscous(model, cfg.params["lambda"], cfg.params["epsilon"],
-                              grid, opts)
+                              grid, cfg.params["tol"])
     if not report.converged:
         raise ConvergenceError(
             f"Newton stalled at residual {report.final_residual_inf:.3e} "
@@ -284,9 +283,8 @@ def _cmd_solve_inviscid(cfg: RunConfig) -> int:
 def _cmd_adjoint(cfg: RunConfig) -> int:
     grid = Grid1D(cfg.params["n"])
     model = _build_model(cfg)
-    opts = ViscousOptions(tol_residual_inf=cfg.params["tol"])
     lam, eps = cfg.params["lambda"], cfg.params["epsilon"]
-    u, report = solve_viscous(model, lam, eps, grid, opts)
+    u, report = solve_viscous(model, lam, eps, grid, cfg.params["tol"])
     if not report.converged:
         raise ConvergenceError(
             f"Newton stalled at residual {report.final_residual_inf:.3e}")

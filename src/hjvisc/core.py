@@ -137,6 +137,16 @@ class HamiltonianModel:
     critical_constant: float = 0.0
 
 
+def _quadratic_dhdp(x, p):
+    """dH/dp = p of every H(x, p) = p^2/2 + V(x), broadcast against x."""
+    return np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(p, dtype=float))[1].copy()
+
+
+def _quadratic_d2hdp2(x, p):
+    """d2H/dp2 = 1 of every H(x, p) = p^2/2 + V(x), broadcast against x."""
+    return np.ones(np.broadcast_shapes(np.shape(x), np.shape(p)))
+
+
 def pendulum_hamiltonian() -> HamiltonianModel:
     """The pendulum model H(x, p) = p^2/2 + cos x - 1.
 
@@ -147,16 +157,11 @@ def pendulum_hamiltonian() -> HamiltonianModel:
     def h(x, p):
         return 0.5 * np.asarray(p) ** 2 + np.cos(x) - 1.0
 
-    def dhdp(x, p):
-        return np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(p, dtype=float))[1].copy()
-
-    def d2hdp2(x, p):
-        return np.ones(np.broadcast_shapes(np.shape(x), np.shape(p)))
-
     def lagrangian(x, v):
         return 0.5 * np.asarray(v) ** 2 - np.cos(x) + 1.0
 
-    return HamiltonianModel(h, dhdp, d2hdp2, lagrangian, descriptor="pendulum")
+    return HamiltonianModel(h, _quadratic_dhdp, _quadratic_d2hdp2, lagrangian,
+                            descriptor="pendulum")
 
 
 def separable_hamiltonian(
@@ -203,17 +208,11 @@ def separable_hamiltonian(
     def h(x, p):
         return 0.5 * np.asarray(p) ** 2 + v_fn(np.asarray(x, dtype=float))
 
-    def dhdp(x, p):
-        return np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(p, dtype=float))[1].copy()
-
-    def d2hdp2(x, p):
-        return np.ones(np.broadcast_shapes(np.shape(x), np.shape(p)))
-
     def lagrangian(x, v):
         return 0.5 * np.asarray(v) ** 2 - v_fn(np.asarray(x, dtype=float))
 
-    return HamiltonianModel(h, dhdp, d2hdp2, lagrangian, descriptor=name,
-                            critical_constant=critical_constant)
+    return HamiltonianModel(h, _quadratic_dhdp, _quadratic_d2hdp2, lagrangian,
+                            descriptor=name, critical_constant=critical_constant)
 
 
 def flat_hamiltonian() -> HamiltonianModel:

@@ -35,7 +35,7 @@ import numpy as np
 from .adjoint import drift_field
 from .core import ConvergenceError, Grid1D, HamiltonianModel, ScalarField
 from .inviscid import solve_discounted_lax_friedrichs, solve_pendulum_ode
-from .viscous import ViscousOptions, solve_viscous
+from .viscous import solve_viscous
 
 DEFAULT_LAMBDA_LIST = tuple(np.logspace(-1.0, -3.0, 10))
 
@@ -117,10 +117,10 @@ def _lf_speed_bound(model: HamiltonianModel, u_eps: ScalarField) -> float:
     return max(1.25 * speed, 1.0)
 
 
-def _sweep_point(model: HamiltonianModel, lam: float, alpha: float, grid: Grid1D,
-                 opts: ViscousOptions | None) -> SweepRecord:
+def _sweep_point(model: HamiltonianModel, lam: float, alpha: float,
+                 grid: Grid1D) -> SweepRecord:
     eps = lam ** (1.0 + alpha)
-    u_eps, report = solve_viscous(model, lam, eps, grid, opts)
+    u_eps, report = solve_viscous(model, lam, eps, grid)
     if not report.converged:
         raise ConvergenceError(
             f"viscous solve at lambda = {lam:.6g} stalled "
@@ -144,7 +144,7 @@ def _sweep_point(model: HamiltonianModel, lam: float, alpha: float, grid: Grid1D
 
 def run_sweep(model: HamiltonianModel, alpha: float,
               lam_list: Sequence[float] = DEFAULT_LAMBDA_LIST,
-              n: int = 2048, opts: ViscousOptions | None = None) -> SweepResult:
+              n: int = 2048) -> SweepResult:
     """Run the eps = lambda^(1+alpha) comparison over a decreasing lambda list.
 
     The inviscid reference is the pendulum branch ODE when the model is the
@@ -170,7 +170,7 @@ def run_sweep(model: HamiltonianModel, alpha: float,
     failed = []
     for lam in lams:
         try:
-            records.append(_sweep_point(model, lam, alpha, grid, opts))
+            records.append(_sweep_point(model, lam, alpha, grid))
         except ConvergenceError:
             failed.append(lam)
 

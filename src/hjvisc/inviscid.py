@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import (ConvergenceError, Grid1D, HamiltonianModel, ScalarField, SolveReport,
                    TWO_PI)
-from .viscous import ViscousOptions, _half_node_drift, solve_viscous
+from .viscous import _half_node_drift, solve_viscous
 
 RADICAND_REJECT = -1e-8
 
@@ -100,8 +100,7 @@ def solve_discounted_lax_friedrichs(model: HamiltonianModel, lam: float, grid: G
 
     h = grid.h
     omega = h / (sigma + lam * h)
-    u, report = solve_viscous(model, lam, 0.5 * sigma * h, grid,
-                              ViscousOptions(tol_residual_inf=tol * lam / omega))
+    u, report = solve_viscous(model, lam, 0.5 * sigma * h, grid, tol * lam / omega)
     if not report.converged:
         raise ConvergenceError(
             "Newton solve of the Lax-Friedrichs scheme stalled at residual "

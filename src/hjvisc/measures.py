@@ -28,7 +28,7 @@ import numpy as np
 from .adjoint import drift_field
 from .core import (ConvergenceError, DensityField, Grid1D, HamiltonianModel,
                    ScalarField, discrete_laplacian)
-from .viscous import ViscousOptions, solve_viscous
+from .viscous import solve_viscous
 
 
 @dataclass(frozen=True)
@@ -84,13 +84,14 @@ def _extrapolate_to_zero(lams: np.ndarray, vals: np.ndarray) -> float:
 
 def estimate_ergodic_constant(model: HamiltonianModel, eps: float,
                               lam_seq: Sequence[float], grid: Grid1D,
-                              opts: ViscousOptions | None = None) -> float:
+                              tol: float = 1e-10) -> float:
     """c(eps) from the small-lambda limit of the discounted solutions.
 
     Solves the viscous equation for each lambda in the decreasing sequence,
     extrapolates lambda * u(x0) to lambda = 0 (x0 fixed at node 0 for
     reproducibility) and returns c(eps) = c(H) - limit, with c(H) taken from
-    the model. A non-converged inner solve aborts the estimate.
+    the model. Each inner solve runs to the residual tolerance tol; a
+    non-converged one aborts the estimate.
     """
     lams = np.asarray(list(lam_seq), dtype=float)
     if lams.size < 3:
@@ -104,7 +105,7 @@ def estimate_ergodic_constant(model: HamiltonianModel, eps: float,
 
     vals = np.empty(lams.size)
     for i, lam in enumerate(lams):
-        u, report = solve_viscous(model, float(lam), eps, grid, opts)
+        u, report = solve_viscous(model, float(lam), eps, grid, tol)
         if not report.converged:
             raise ConvergenceError(
                 f"viscous solve at lambda = {lam:.6g}, eps = {eps:.6g} did not converge "

@@ -138,10 +138,11 @@ def solve_cyclic_tridiagonal(matrix: CyclicTridiagonalMatrix, rhs: np.ndarray) -
     amplification cap ||A||_inf * ||x||_inf <= 1e11 * ||rhs||_inf guards the
     blind spot of pure backward error: a singular system with consistent rhs
     admits arbitrarily large x with tiny backward error, yet any such x is
-    numerically meaningless. Raises ConvergenceError when the system is
-    singular or near-singular (vanishing Sherman-Morrison denominator,
-    elimination breakdown, a residual above the gate even after a sparse-LU
-    retry, or a tripped amplification cap).
+    numerically meaningless. The solve is the one factorization of
+    factor_cyclic_tridiagonal; ConvergenceError is raised straight away when
+    the system is singular or near-singular (vanishing Sherman-Morrison
+    denominator, a zero pivot, a residual above the gate, or a tripped
+    amplification cap).
     """
     rhs = np.asarray(rhs, dtype=float)
     n = matrix.n
@@ -153,39 +154,17 @@ def solve_cyclic_tridiagonal(matrix: CyclicTridiagonalMatrix, rhs: np.ndarray) -
     rhs_scale = float(np.max(np.abs(rhs)))
     norm_a = float(np.max(np.abs(matrix.diag) + np.abs(matrix.sub) + np.abs(matrix.super)))
 
-    def certified(x: np.ndarray) -> np.ndarray:
-        res = float(np.max(np.abs(matrix.matvec(x) - rhs)))
-        x_scale = float(np.max(np.abs(x)))
-        if norm_a * x_scale > 1e11 * max(rhs_scale, 1e-300):
-            raise ConvergenceError(
-                "cyclic tridiagonal solve rejected: solution amplification "
-                f"{norm_a * x_scale / max(rhs_scale, 1e-300):.3e} exceeds 1e11 "
-                "(singular or near-singular system)")
-        tol = RESIDUAL_TOL * max(rhs_scale, norm_a * x_scale, 1e-300)
-        if not np.isfinite(res) or res > tol:
-            raise ConvergenceError(
-                f"cyclic tridiagonal solve rejected: residual {res:.3e} exceeds {tol:.3e} "
-                "(singular or near-singular system)")
-        return x
-
-    try:
-        return certified(factor_cyclic_tridiagonal(matrix)(rhs))
-    except ConvergenceError:
-        # retry once with a pivoted sparse LU before giving up
-        from scipy.sparse.linalg import splu
-
-        try:
-            return certified(splu(_sparse(matrix)).solve(rhs))
-        except RuntimeError as exc:
-            raise ConvergenceError(f"cyclic tridiagonal solve rejected: {exc}") from exc
-
-
-def _sparse(matrix: CyclicTridiagonalMatrix):
-    from scipy.sparse import csc_matrix
-
-    n = matrix.n
-    idx = np.arange(n)
-    rows = np.concatenate([idx, idx, idx])
-    cols = np.concatenate([idx, (idx + 1) % n, (idx - 1) % n])
-    data = np.concatenate([matrix.diag, matrix.super, matrix.sub])
-    return csc_matrix((data, (rows, cols)), shape=(n, n))
+    x = factor_cyclic_tridiagonal(matrix)(rhs)
+    res = float(np.max(np.abs(matrix.matvec(x) - rhs)))
+    x_scale = float(np.max(np.abs(x)))
+    if norm_a * x_scale > 1e11 * max(rhs_scale, 1e-300):
+        raise ConvergenceError(
+            "cyclic tridiagonal solve rejected: solution amplification "
+            f"{norm_a * x_scale / max(rhs_scale, 1e-300):.3e} exceeds 1e11 "
+            "(singular or near-singular system)")
+    tol = RESIDUAL_TOL * max(rhs_scale, norm_a * x_scale, 1e-300)
+    if not np.isfinite(res) or res > tol:
+        raise ConvergenceError(
+            f"cyclic tridiagonal solve rejected: residual {res:.3e} exceeds {tol:.3e} "
+            "(singular or near-singular system)")
+    return x

@@ -12,14 +12,12 @@ at the central gradient, lets the Hamiltonian see the node-alternating mode
 Jacobian is a cyclic tridiagonal matrix, so every Newton step is one banded
 solve. The averaged scheme is not monotone: a Newton run whose residual meets
 the tolerance still counts as unconverged when its final Jacobian has an
-expansion row (see _expansion_free). With continuation enabled, a cold start
-that fails is restarted along a factor-2 descent in eps from max(eps, 0.5),
-warm-starting each level with the previous solution.
+expansion row (see _expansion_free). A cold start that fails is always
+restarted from zero along a factor-2 descent in eps from 0.5, warm-starting
+each level with the previous solution.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,19 +26,7 @@ from .tridiag import CyclicTridiagonalMatrix, solve_cyclic_tridiagonal
 
 DAMPING = 0.5
 MIN_DAMPING_STEP = 2.0 ** -20
-
-
-@dataclass
-class ViscousOptions:
-    tol_residual_inf: float = 1e-10
-    max_newton_iters: int = 200
-    continuation: bool = True
-
-    def __post_init__(self) -> None:
-        if not (self.tol_residual_inf > 0.0):
-            raise ValueError("tol_residual_inf must be positive")
-        if self.max_newton_iters < 1:
-            raise ValueError("max_newton_iters must be at least 1")
+MAX_NEWTON_ITERS = 200
 
 
 def _residual_arr(model: HamiltonianModel, grid: Grid1D, u: np.ndarray,
@@ -111,7 +97,7 @@ def viscous_jacobian(model: HamiltonianModel, u: ScalarField, lam: float,
 
 
 def _newton(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
-            u0: np.ndarray, opts: ViscousOptions) -> tuple[np.ndarray, int, float, bool]:
+            u0: np.ndarray, tol: float) -> tuple[np.ndarray, int, float, bool]:
     """One damped Newton run at fixed eps from u0. Returns (u, iters, residual, converged).
 
     A run whose residual meets the tolerance converges only if the Jacobian
@@ -121,8 +107,8 @@ def _newton(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
     res = _residual_arr(model, grid, u, lam, eps)
     rnorm = float(np.max(np.abs(res)))
     it = 0
-    while rnorm > opts.tol_residual_inf:
-        if it == opts.max_newton_iters:
+    while rnorm > tol:
+        if it == MAX_NEWTON_ITERS:
             return u, it, rnorm, False
         step = solve_cyclic_tridiagonal(_jacobian_arr(model, grid, u, lam, eps), -res)
         it += 1
@@ -143,48 +129,43 @@ def _newton(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
 
 
 def _continuation_chain(eps: float) -> list[float]:
-    top = max(eps, 0.5)
-    chain = [top]
-    while chain[-1] / 2.0 > eps:
-        chain.append(chain[-1] / 2.0)
-    if chain[-1] != eps:
-        chain.append(eps)
-    return chain
+    """Viscosities 0.5, 0.25, ... down to eps (its last entry); empty for eps >= 0.5."""
+    chain = []
+    level = 0.5
+    while level > eps:
+        chain.append(level)
+        level /= 2.0
+    return chain + [eps] if chain else []
 
 
 def solve_viscous(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
-                  opts: ViscousOptions | None = None) -> tuple[ScalarField, SolveReport]:
+                  tol: float = 1e-10) -> tuple[ScalarField, SolveReport]:
     """Solve the discounted viscous equation; never raises on non-convergence.
 
-    The report carries the iteration count (summed over continuation levels),
-    the final residual inf-norm, the convergence flag and how many
+    Newton runs cold from zero at eps to the residual inf-norm tol. If that
+    fails, it restarts from zero at eps = 0.5 and descends the continuation
+    chain, each level warm-started from the previous one, until a level fails
+    or eps is reached. The report carries the iteration count (summed over
+    all runs), the final residual inf-norm, the convergence flag and how many
     continuation levels ran (0 for a successful cold start). converged=False
-    covers a Newton stall, an exhausted iteration budget, and a residual that
-    meets the tolerance at a field whose Jacobian has an expansion row, where
-    the non-monotone averaged scheme cannot be trusted.
+    covers a Newton stall, an exhausted iteration budget (MAX_NEWTON_ITERS
+    per run), and a residual that meets the tolerance at a field whose
+    Jacobian has an expansion row, where the non-monotone averaged scheme
+    cannot be trusted.
     """
     if not (lam > 0.0 and np.isfinite(lam)):
         raise ValueError(f"lambda must be positive, got {lam!r}")
     if not (eps > 0.0 and np.isfinite(eps)):
         raise ValueError(f"eps must be positive, got {eps!r}")
-    opts = opts or ViscousOptions()
-    u0 = np.zeros(grid.n)
-
-    u, iters, rnorm, ok = _newton(model, lam, eps, grid, u0, opts)
-    if ok or not opts.continuation:
-        return ScalarField(grid, u), SolveReport(iters, rnorm, ok, 0)
-
-    chain = _continuation_chain(eps)
-    if chain == [eps]:
-        # nothing larger to descend from; the cold start already was this solve
-        return ScalarField(grid, u), SolveReport(iters, rnorm, False, 0)
-    total = iters
-    warm = u0
-    steps = 0
-    for level in chain:
-        warm, it, rnorm, ok = _newton(model, lam, level, grid, warm, opts)
+    if not (tol > 0.0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    zero = np.zeros(grid.n)
+    total = 0
+    for steps, level in enumerate([eps] + _continuation_chain(eps)):
+        # the cold start and the first continuation level both start from zero
+        u, it, rnorm, ok = _newton(model, lam, level, grid, u if steps > 1 else zero, tol)
         total += it
-        steps += 1
-        if not ok:
+        if ok == (steps == 0):
+            # a converged cold start needs no continuation; a failed level ends it
             break
-    return ScalarField(grid, warm), SolveReport(total, rnorm, ok and chain[-1] == eps, steps)
+    return ScalarField(grid, u), SolveReport(total, rnorm, ok, steps)

@@ -164,8 +164,7 @@ def test_criterion_08_ergodic_constant_scaling(pendulum):
     eps_list = (0.2, 0.1, 0.05, 0.025)
     # eps = 0.2 at the smallest lambda plateaus just above the default
     # Newton tolerance; 1e-8 residual is far below the scale of c(eps)
-    opts = hv.ViscousOptions(tol_residual_inf=1e-8)
-    cs = [hv.estimate_ergodic_constant(pendulum, e, lam_seq, grid, opts)
+    cs = [hv.estimate_ergodic_constant(pendulum, e, lam_seq, grid, tol=1e-8)
           for e in eps_list]
     ratios = [abs(c) / e for c, e in zip(cs, eps_list)]
     k_fit = max(ratios)

@@ -133,6 +133,16 @@ def test_nonpositive_parameter_exits_one(capsys):
     assert "positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve-viscous", "adjoint"])
+def test_infinite_tolerance_exits_one(command, tmp_path, capsys):
+    out = tmp_path / "field.csv"
+    rc = cli.main([command, "--lambda", "0.1", "--epsilon", "0.05", "--n", "64",
+                   "--tol", "inf", "--out", str(out)])
+    assert rc == 1
+    assert "tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dump_config_still_validates(capsys):
     # resolution happens before the dump, so a broken config never prints
     assert cli.main(["sweep", "--dump-config"]) == 1

@@ -149,10 +149,11 @@ def test_slope_is_grid_stable(pendulum, sweep_a02):
     assert abs(res1024.fitted_slope - sweep_a02.fitted_slope) <= 0.05
 
 
-def test_partial_failure_reports_lambdas(pendulum):
-    # a six-iteration budget only lets the easiest point converge at n = 512
-    opts = hv.ViscousOptions(max_newton_iters=6, continuation=False)
-    res = hv.run_sweep(pendulum, 0.2, n=512, opts=opts)
+def test_partial_failure_reports_lambdas(pendulum, monkeypatch):
+    # a six-iteration budget per Newton run only lets the easiest points
+    # converge at n = 512
+    monkeypatch.setattr(hv.viscous, "MAX_NEWTON_ITERS", 6)
+    res = hv.run_sweep(pendulum, 0.2, n=512)
     assert len(res.records) >= 1
     assert len(res.failed_lambdas) >= 1
     assert len(res.records) + len(res.failed_lambdas) == 10
@@ -161,10 +162,10 @@ def test_partial_failure_reports_lambdas(pendulum):
         assert any(abs(lam - v) <= 1e-15 for v in lams)
 
 
-def test_all_failed_sweep_raises(pendulum):
-    opts = hv.ViscousOptions(max_newton_iters=1, continuation=False)
+def test_all_failed_sweep_raises(pendulum, monkeypatch):
+    monkeypatch.setattr(hv.viscous, "MAX_NEWTON_ITERS", 1)
     with pytest.raises(ValueError, match="no records"):
-        hv.run_sweep(pendulum, 0.2, n=2048, opts=opts)
+        hv.run_sweep(pendulum, 0.2, n=2048)
 
 
 def test_csv_layout(sweep_a02):

@@ -42,11 +42,11 @@ def test_ergodic_constant_validation(pendulum):
         hv.estimate_ergodic_constant(pendulum, -0.1, (1e-2, 5e-3, 2.5e-3), g)
 
 
-def test_ergodic_constant_propagates_solver_failure(pendulum):
-    opts = hv.ViscousOptions(max_newton_iters=1, continuation=False)
+def test_ergodic_constant_propagates_solver_failure(pendulum, monkeypatch):
+    monkeypatch.setattr(hv.viscous, "MAX_NEWTON_ITERS", 1)
     with pytest.raises(hv.ConvergenceError):
         hv.estimate_ergodic_constant(pendulum, 0.1, (1e-2, 5e-3, 2.5e-3),
-                                     hv.Grid1D(256), opts)
+                                     hv.Grid1D(256))
 
 
 def test_pendulum_ergodic_constant_scale(pendulum):

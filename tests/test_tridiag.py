@@ -1,5 +1,7 @@
 """Cyclic tridiagonal solver: oracle comparisons and the residual certificate."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -94,16 +96,21 @@ def test_singular_laplacian_rejected_on_constants():
         solve_cyclic_tridiagonal(m, np.ones(n))
 
 
-def test_singular_laplacian_with_consistent_rhs_is_certified():
-    """A mean-zero rhs lies in the range; any certified particular solution
-    with bounded amplification is acceptable."""
+def test_singular_laplacian_with_consistent_rhs_is_rejected():
+    """A mean-zero rhs lies in the range, but the one factorization meets
+    the singular system and no second algorithm is tried."""
     n = 64
     m = CyclicTridiagonalMatrix(np.full(n, -2.0), np.ones(n), np.ones(n))
     rhs = np.sin(np.arange(n) * hv.TWO_PI / n)  # exactly mean-zero
-    x = solve_cyclic_tridiagonal(m, rhs)
-    assert np.all(np.isfinite(x))
-    norm_a = 4.0
-    assert np.max(np.abs(m.matvec(x) - rhs)) <= 1e-12 * norm_a * np.max(np.abs(x))
+    with pytest.raises(hv.ConvergenceError, match="singular"):
+        solve_cyclic_tridiagonal(m, rhs)
+
+
+def test_no_module_uses_scipy_sparse():
+    # every banded solve goes through the one gttrf/gttrs factorization
+    src = Path(hv.__file__).parent
+    users = [p.name for p in sorted(src.glob("*.py")) if "scipy.sparse" in p.read_text()]
+    assert users == []
 
 
 def test_exact_zero_pivot_raises_convergence_error():

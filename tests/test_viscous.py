@@ -6,8 +6,8 @@ import pytest
 import hjvisc as hv
 
 
-def _solve(model, lam, eps, n, opts=None):
-    u, report = hv.solve_viscous(model, lam, eps, hv.Grid1D(n), opts)
+def _solve(model, lam, eps, n):
+    u, report = hv.solve_viscous(model, lam, eps, hv.Grid1D(n))
     assert report.converged
     return u, report
 
@@ -153,11 +153,14 @@ def test_semiconcavity_upper_bound_resolved_records(pendulum, sweep_a02,
         assert 0.9 <= top <= 1.05, (rec.lam, rec.epsilon, top)
 
 
-def test_stalled_newton_reports_failure(pendulum):
-    opts = hv.ViscousOptions(max_newton_iters=1, continuation=False)
-    u, report = hv.solve_viscous(pendulum, 0.1, 0.05, hv.Grid1D(128), opts)
+def test_stalled_newton_reports_failure(pendulum, monkeypatch):
+    # one iteration per run: the cold start and the first continuation
+    # level (eps = 0.5) both exhaust their budget
+    monkeypatch.setattr(hv.viscous, "MAX_NEWTON_ITERS", 1)
+    u, report = hv.solve_viscous(pendulum, 0.1, 0.05, hv.Grid1D(128))
     assert not report.converged
-    assert report.iterations == 1
+    assert report.iterations == 2
+    assert report.continuation_steps == 1
     assert 1.0 <= report.final_residual_inf <= 2.0
     assert np.all(np.isfinite(u.values))
 
@@ -172,21 +175,27 @@ def test_underresolved_viscosity_is_flagged_not_faked(pendulum, grid2048):
     assert 1e-10 < report.final_residual_inf < 1e-6
 
 
-def test_continuation_agrees_with_cold_start(pendulum):
+def test_continuation_rescues_failed_cold_start():
     g = hv.Grid1D(256)
-    cold = hv.ViscousOptions(continuation=False)
-    u_cold, rep_cold = hv.solve_viscous(pendulum, 0.01, 1e-3, g, cold)
-    u_warm, rep_warm = hv.solve_viscous(pendulum, 0.01, 1e-3, g)
-    assert rep_cold.converged and rep_warm.converged
-    assert hv.inf_norm_diff(u_cold, u_warm) <= 1e-12
+    model = hv.separable_hamiltonian(
+        0.3 * (np.cos(g.x) - 1.0) + 0.06 * np.sin(2.0 * g.x), g)
+    lam = 5e-3
+    eps = lam ** 1.2
+    _, _, cold_res, cold_ok = hv.viscous._newton(model, lam, eps, g, np.zeros(g.n), 1e-10)
+    assert not cold_ok and cold_res > 1e-10
+    u, report = hv.solve_viscous(model, lam, eps, g)
+    assert report.converged
+    assert report.continuation_steps >= 1
+    assert np.max(np.abs(hv.viscous_residual(model, u, lam, eps).values)) <= 1e-10
+    jac = hv.viscous_jacobian(model, u, lam, eps)
+    assert not np.any((jac.sub > 0.0) & (jac.super > 0.0))
 
 
 def test_options_and_argument_validation(pendulum):
     g = hv.Grid1D(64)
-    with pytest.raises(ValueError):
-        hv.ViscousOptions(tol_residual_inf=0.0)
-    with pytest.raises(ValueError):
-        hv.ViscousOptions(max_newton_iters=0)
+    for tol in (0.0, -1e-10, np.inf, np.nan):
+        with pytest.raises(ValueError, match="tol"):
+            hv.solve_viscous(pendulum, 0.1, 0.05, g, tol=tol)
     with pytest.raises(ValueError):
         hv.solve_viscous(pendulum, 0.0, 0.05, g)
     with pytest.raises(ValueError):
