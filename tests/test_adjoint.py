@@ -251,7 +251,8 @@ def test_fokker_planck_is_lazy_and_validates():
         list(hv.evolve_fokker_planck(drift, 0.5, 0, 1.0, dt=-0.1))
     for eps, t_final, dt in ((math.inf, 1.0, None), (math.nan, 1.0, None),
                              (0.5, math.inf, None), (0.5, math.nan, None),
-                             (0.5, 1.0, math.inf), (0.5, 1.0, math.nan)):
+                             (0.5, 1.0, math.inf), (0.5, 1.0, math.nan),
+                             (0.5, 1e308, 1e-10)):  # t_final/dt overflows
         with pytest.raises(ValueError, match="finite"):
             next(hv.evolve_fokker_planck(drift, eps, 0, t_final, dt))
     snaps = list(hv.evolve_fokker_planck(drift, 0.5, 0, 1.0, 0.25))
@@ -283,6 +284,107 @@ def test_discounted_average_rejections():
         hv.stationary_from_transient(ragged, 1.0)
     with pytest.raises(ValueError):
         hv.stationary_from_transient([(0.0, uniform)], 1.0)
+
+
+def _half_node_drift(grid, amplitudes):
+    """sum_k a_k cos(k x_{j+1/2}) + b_k sin(k x_{j+1/2}), stored at index j."""
+    xh = grid.x + 0.5 * grid.h
+    return hv.ScalarField(grid, sum(a * np.cos(k * xh) + b * np.sin(k * xh)
+                                    for k, (a, b) in enumerate(amplitudes, start=1)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(n=st.integers(8, 48),
+       amplitudes=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                           min_size=1, max_size=3),
+       eps_scale=st.floats(1.0, 8.0), lam=st.floats(0.05, 1.0),
+       source=st.floats(0.0, 1.0, exclude_max=True), extra=st.integers(0, 200))
+def test_blocked_average_equals_streamed(n, amplitudes, eps_scale, lam, source, extra):
+    """Random trigonometric half-node drift at cell Peclet <= 1 and
+    dt = (20/lam)/k with k >= n**2 steps: averaging the stream in blocks of
+    n steps gives the streamed average."""
+    grid = hv.Grid1D(n)
+    drift = _half_node_drift(grid, amplitudes)
+    eps = eps_scale * max(grid.h * float(np.max(np.abs(drift.values))) / 2.0, 1e-3)
+    t_final = 20.0 / lam
+
+    def average(wrap):
+        stream = hv.evolve_fokker_planck(drift, eps, int(source * n), t_final,
+                                         t_final / (n * n + extra))
+        return hv.stationary_from_transient(wrap(stream), lam)
+
+    # a generator wrapper hides the stream and forces the streamed route
+    blocked, streamed = average(iter), average(lambda stream: (x for x in stream))
+    rel = np.max(np.abs(blocked.values - streamed.values)) / np.max(streamed.values)
+    assert rel <= 1e-11
+    assert abs(grid.h * float(blocked.values.sum()) - 1.0) <= 1e-12
+
+
+@pytest.fixture
+def step_solves(monkeypatch):
+    """Right-hand-side shapes of every solve with a Fokker-Planck step
+    factorization made while the fixture is active."""
+    calls = []
+    factor = hv.adjoint.factor_cyclic_tridiagonal
+
+    def counting(matrix):
+        solve = factor(matrix)
+
+        def counted(rhs):
+            calls.append(rhs.shape)
+            return solve(rhs)
+        return counted
+
+    monkeypatch.setattr(hv.adjoint, "factor_cyclic_tridiagonal", counting)
+    return calls
+
+
+def test_blocked_and_streamed_routes_reject_alike(step_solves):
+    n = 64
+    grid = hv.Grid1D(n)
+    # cell Peclet 3*h/(2*0.05) = 2.9: the stream from x0 = 3 dips to -7.4e-4
+    drift = _half_node_drift(grid, [(0.0, 3.0)])
+    routes = (iter, lambda stream: (x for x in stream))  # blocked, streamed
+    solves = []
+    for wrap in routes:
+        step_solves.clear()
+        with pytest.raises(ValueError, match="floor"):
+            hv.stationary_from_transient(
+                wrap(hv.evolve_fokker_planck(drift, 0.05, 3, 500.0)), 0.04)
+        solves.append(len(step_solves))
+    # the blocked route rejects a column of some P^i, i < n, before its
+    # first block boundary rho_n exists
+    assert solves[0] < n
+
+    # e^(-lam*T) = e^-10 > 1e-6 after n**2 = 4096 steps
+    drift = _half_node_drift(grid, [(0.0, 0.5)])
+    for wrap in routes:
+        with pytest.raises(hv.ConvergenceError, match="horizon"):
+            hv.stationary_from_transient(
+                wrap(hv.evolve_fokker_planck(drift, 0.5, 3, 20.0, 20.0 / 4096)), 0.5)
+
+
+def test_long_streams_take_the_blocked_route(step_solves):
+    """Streaming costs one solve per step, the blocked route a few per block
+    of n steps. A stream that has already yielded a snapshot is streamed."""
+    n, lam, t_final = 32, 0.5, 40.0
+    drift = _half_node_drift(hv.Grid1D(n), [(0.3, 0.5)])
+    for steps in (n * n - 1, n * n, 3 * n * n + 5):
+        step_solves.clear()
+        hv.stationary_from_transient(
+            hv.evolve_fokker_planck(drift, 0.5, 0, t_final, t_final / steps), lam)
+        if steps >= n * n:
+            assert len(step_solves) <= steps / 4, (steps, len(step_solves))
+        else:
+            assert len(step_solves) == steps
+
+    started = hv.evolve_fokker_planck(drift, 0.5, 0, t_final, t_final / (n * n))
+    next(started)
+    step_solves.clear()
+    # the weights of the snapshots from t = dt on sum to e^(-lam*dt), not 1
+    with pytest.raises(ValueError, match="mass"):
+        hv.stationary_from_transient(started, lam)
+    assert len(step_solves) == n * n  # every step, streamed
 
 
 def test_transient_average_matches_stationary(transient_pair):
