@@ -37,7 +37,7 @@ from .tridiag import (CyclicTridiagonalMatrix, factor_cyclic_tridiagonal,
 from .viscous import _half_node_drift, drift_diffusion_bands, viscous_jacobian
 
 NEGATIVITY_REJECT = -1e-8
-_CHUNK = 32  # identity columns stepped at once when building P^m
+_CHUNK = 32  # identity columns stepped at once: keeps the build's temporaries small
 
 
 def drift_field(model: HamiltonianModel, u: ScalarField) -> ScalarField:
