@@ -41,9 +41,9 @@ _CHUNK = 32  # identity columns stepped at once: keeps the build's temporaries s
 
 
 def drift_field(model: HamiltonianModel, u: ScalarField) -> ScalarField:
-    """Half-node drift b_{j+1/2} = dH/dp(x_{j+1/2}, D+u_j), stored at index j:
-    the drift of the Newton Jacobian, the adjoint and the measure."""
-    return ScalarField(u.grid, _half_node_drift(model, u.grid, u.values))
+    """Half-node drift b_{j+1/2} = dH/dp(x_{j+1/2}, D+u_j) = D+u_j at index j,
+    for every model: the drift of the Newton Jacobian, adjoint and measure."""
+    return ScalarField(u.grid, _half_node_drift(u.grid, u.values))
 
 
 def _check_source(grid: Grid1D, x0_index: int) -> None:
@@ -204,8 +204,9 @@ def stationary_from_transient(rho_sequence: Iterable[tuple[float, DensityField]]
                               lam: float) -> DensityField:
     """Discounted time average of an evolution, int_0^T lambda e^{-lambda t} rho dt.
 
-    Piecewise-linear-in-time rho against the exactly integrated exponential
-    weight (product trapezoid), plus the tail estimate e^{-lambda*T} rho(., T).
+    The sequence starts at t = 0. Piecewise-linear-in-time rho against the
+    exactly integrated exponential weight (product trapezoid), plus the tail
+    estimate e^{-lambda*T} rho(., T).
     Applied to rho == 1 the weights sum to exactly 1 - e^{-lambda T}, so the
     output inherits unit mass. A horizon with e^{-lambda T} > 1e-6 (T below
     roughly 14/lambda) is rejected as too short to truncate.
@@ -228,8 +229,10 @@ def stationary_from_transient(rho_sequence: Iterable[tuple[float, DensityField]]
         acc, first = _skip_blocks(rho_sequence, lam)
     else:
         first = next(it, None)
-    if first is None:
-        raise ValueError("empty evolution sequence")
+        if first is None:
+            raise ValueError("empty evolution sequence")
+        if first[0] != 0.0:
+            raise ValueError(f"evolution sequence must start at t = 0, got t = {first[0]!r}")
     t_prev, rho_prev = first
     dt_ref = None
     for t, rho in it:
@@ -261,19 +264,13 @@ def averaged_drift(u_eps: ScalarField, u_delta: ScalarField,
 
     The half-node secant drift, stored at index j: drift_diffusion_bands at
     vartheta maps u_eps - u_delta to F(u_eps) - F(u_delta), F the viscous
-    residual. Four Gauss-Legendre points on [0, 1] integrate any dH/dp of
-    degree <= 7 in p exactly.
+    residual. With dH/dp = p the integral is the midpoint of the two D+ fields.
     """
     if u_eps.grid != u_delta.grid:
         raise ValueError("fields live on different grids")
     grid = u_eps.grid
-    nodes, weights = np.polynomial.legendre.leggauss(4)
-    out = np.zeros(grid.n)
-    for ri, wi in zip(0.5 * (nodes + 1.0), 0.5 * weights):
-        # D+ is linear: the gradient of the blend is the blend of the gradients
-        blend = ri * u_eps.values + (1.0 - ri) * u_delta.values
-        out += wi * _half_node_drift(model, grid, blend)
-    return ScalarField(grid, out)
+    return ScalarField(grid, 0.5 * (_half_node_drift(grid, u_eps.values)
+                                    + _half_node_drift(grid, u_delta.values)))
 
 
 def entropy_diagnostic(rho: DensityField) -> float:

@@ -203,8 +203,7 @@ def _resolve(command: str, ns_map: dict[str, Any]) -> RunConfig:
 def _build_model(cfg: RunConfig) -> HamiltonianModel:
     pot = cfg.params.get("potential")
     if pot is not None:
-        grid = Grid1D(cfg.params["n"])
-        return separable_hamiltonian(np.asarray(pot, dtype=float), grid, name="inline")
+        return separable_hamiltonian(pot, Grid1D(cfg.params["n"]), name="inline")
     name = cfg.params["hamiltonian"]
     if name == "pendulum":
         return pendulum_hamiltonian()
@@ -227,15 +226,6 @@ def _write_out(cfg: RunConfig, text: str) -> None:
         Path(out).write_text(text)
 
 
-def _lf_sigma(model: HamiltonianModel, grid: Grid1D, given: float | None) -> float:
-    if given is not None:
-        return given
-    ps = np.linspace(-3.0, 3.0, 13)
-    speed = float(np.max(np.abs(np.asarray(
-        model.dhdp(grid.x[:, None], ps[None, :]), dtype=float))))
-    return max(1.25 * speed, 1.0)
-
-
 def _solve_inviscid_field(cfg: RunConfig, model: HamiltonianModel,
                           grid: Grid1D) -> ScalarField:
     method = cfg.params.get("method")
@@ -248,7 +238,8 @@ def _solve_inviscid_field(cfg: RunConfig, model: HamiltonianModel,
             raise ValueError("the ODE reference needs an even grid size")
         return solve_pendulum_ode(cfg.params["lambda"], grid.n // 2)
     if method == "lf":
-        sigma = _lf_sigma(model, grid, cfg.params.get("sigma"))
+        # default: 1.25 * max|dH/dp| = 1.25 * max|p| over |p| <= 3
+        sigma = cfg.params.get("sigma") or 3.75
         tol = cfg.params.get("tol", 1e-8)
         u, _report = solve_discounted_lax_friedrichs(model, cfg.params["lambda"],
                                                      grid, sigma, tol=tol)

@@ -1,4 +1,4 @@
-"""Shared numerical core: periodic grid, fields, Tonelli Hamiltonians, stencils.
+"""Shared numerical core: periodic grid, fields, the model H = p^2/2 + V(x), stencils.
 
 Everything downstream (viscous and inviscid solvers, adjoint densities,
 measures) works on a uniform grid over the flat torus of circumference
@@ -8,7 +8,9 @@ Derivatives are the standard second-order periodic stencils
     Du_j  = (u_{j+1} - u_{j-1}) / (2h)
     Lu_j  = (u_{j+1} - 2u_j + u_{j-1}) / h^2
 
-with indices wrapping mod n.
+with indices wrapping mod n. The one model class is H(x, p) = p^2/2 + V(x):
+its drift dH/dp is the momentum itself, and its critical value is
+c(H) = max V.
 """
 
 from __future__ import annotations
@@ -119,58 +121,51 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class HamiltonianModel:
-    """A Tonelli Hamiltonian H(x, p) with its momentum derivatives and Lagrangian.
+    """H(x, p) = p^2/2 + V(x) + level, V the vectorized ``potential``; dH/dp = p,
+    L(x, v) = v^2/2 - V(x) - level and c(H) = max V + level follow from V.
 
-    All callables are vectorized over numpy arrays (broadcasting in x and p).
-    ``lagrangian(x, v)`` is the Legendre transform sup_p(v*p - H(x, p)); the
-    constructors below supply closed forms, and ``generic_hamiltonian`` falls
-    back to a numeric maximization.
+    ``level`` only fixes the floating-point order: the pendulum is V = cos x
+    at level -1, so H is (p^2/2 + cos x) - 1 as in its closed form, which
+    V = cos x - 1 would round differently. Adding 0 and subtracting -1 are
+    exact, so L and c(H) keep their bits too.
     """
 
-    h: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    dhdp: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    d2hdp2: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    lagrangian: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    descriptor: str = "custom"
-    # Ergodic (critical) constant c(H) of the model, supplied rather than
-    # computed; 0 for the pendulum and the flat model.
-    critical_constant: float = 0.0
+    potential: Callable[[np.ndarray], np.ndarray]
+    descriptor: str
+    level: float = 0.0
 
+    def h(self, x, p):
+        return 0.5 * np.asarray(p) ** 2 + self.potential(np.asarray(x, dtype=float)) + self.level
 
-def _quadratic_dhdp(x, p):
-    """dH/dp = p of every H(x, p) = p^2/2 + V(x), broadcast against x."""
-    return np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(p, dtype=float))[1].copy()
+    def dhdp(self, x, p):
+        """dH/dp = p, broadcast against x."""
+        return np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(p, dtype=float))[1].copy()
 
+    def lagrangian(self, x, v):
+        """The Legendre dual sup_p(v*p - H(x, p))."""
+        return 0.5 * np.asarray(v) ** 2 - self.potential(np.asarray(x, dtype=float)) - self.level
 
-def _quadratic_d2hdp2(x, p):
-    """d2H/dp2 = 1 of every H(x, p) = p^2/2 + V(x), broadcast against x."""
-    return np.ones(np.broadcast_shapes(np.shape(x), np.shape(p)))
+    def critical_value(self, grid: Grid1D) -> float:
+        """c(H) = max V + level, V maximized over the grid nodes: exact for
+        samples on this grid and for the pendulum (x = 0 is a node)."""
+        return float(np.max(self.potential(grid.x))) + self.level
 
 
 def pendulum_hamiltonian() -> HamiltonianModel:
-    """The pendulum model H(x, p) = p^2/2 + cos x - 1.
+    """The pendulum model H(x, p) = p^2/2 + cos x - 1, with c(H) = 0.
 
     Its Legendre dual is L(x, v) = v^2/2 - cos x + 1 >= 0, vanishing only at
     (x, v) = (0, 0), which is the rest point the discounted dynamics settle on.
     """
-
-    def h(x, p):
-        return 0.5 * np.asarray(p) ** 2 + np.cos(x) - 1.0
-
-    def lagrangian(x, v):
-        return 0.5 * np.asarray(v) ** 2 - np.cos(x) + 1.0
-
-    return HamiltonianModel(h, _quadratic_dhdp, _quadratic_d2hdp2, lagrangian,
-                            descriptor="pendulum")
+    return HamiltonianModel(np.cos, "pendulum", level=-1.0)
 
 
 def separable_hamiltonian(
     potential: Callable[[np.ndarray], np.ndarray] | ScalarField | np.ndarray,
     grid: Grid1D | None = None,
     name: str = "separable",
-    critical_constant: float = 0.0,
 ) -> HamiltonianModel:
-    """Mechanical model H(x, p) = p^2/2 + V(x), L(x, v) = v^2/2 - V(x).
+    """The model H(x, p) = p^2/2 + V(x) for a checked potential V.
 
     The potential may be a vectorized callable, a ScalarField, or an array of
     n samples on ``grid`` (samples are evaluated off-node by periodic linear
@@ -185,108 +180,27 @@ def separable_hamiltonian(
 
     if callable(potential):
         v_fn = potential
-        probe = np.asarray(v_fn(np.linspace(0.0, TWO_PI, 16)))
-        if not np.all(np.isfinite(probe)):
+        if not np.all(np.isfinite(v_fn(np.linspace(0.0, TWO_PI, 16)))):
             raise ValueError("potential callable produced non-finite values")
     else:
         samples = np.asarray(potential, dtype=float)
         if grid is None:
             raise ValueError("sampled potential needs the grid it lives on")
         if samples.shape != (grid.n,):
-            raise ValueError(
-                f"potential has {samples.shape} samples, grid expects {grid.n}"
-            )
+            raise ValueError(f"potential has {samples.shape} samples, grid expects {grid.n}")
         if not np.all(np.isfinite(samples)):
             raise ValueError("potential samples contain non-finite values")
-        xs = np.append(grid.x, grid.length)
-        vs = np.append(samples, samples[0])
-        period = grid.length
+        xs, vs = np.append(grid.x, grid.length), np.append(samples, samples[0])
 
-        def v_fn(x, xs=xs, vs=vs, period=period):
-            return np.interp(np.mod(x, period), xs, vs)
+        def v_fn(x):
+            return np.interp(np.mod(x, grid.length), xs, vs)
 
-    def h(x, p):
-        return 0.5 * np.asarray(p) ** 2 + v_fn(np.asarray(x, dtype=float))
-
-    def lagrangian(x, v):
-        return 0.5 * np.asarray(v) ** 2 - v_fn(np.asarray(x, dtype=float))
-
-    return HamiltonianModel(h, _quadratic_dhdp, _quadratic_d2hdp2, lagrangian,
-                            descriptor=name, critical_constant=critical_constant)
+    return HamiltonianModel(v_fn, name)
 
 
 def flat_hamiltonian() -> HamiltonianModel:
     """H(x, p) = p^2/2 (zero potential); the discounted solution is u == 0."""
-    return separable_hamiltonian(lambda x: np.zeros_like(np.asarray(x, dtype=float)), name="flat")
-
-
-def _numeric_legendre(
-    h_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-    """Legendre transform by scalar maximization of p -> v*p - H(x, p).
-
-    Golden-section search (xtol 1e-10) on a bracket grown geometrically until
-    the objective decreases at both ends; superlinearity of H guarantees the
-    bracket exists.
-    """
-    from scipy.optimize import minimize_scalar
-
-    def single(x: float, v: float) -> float:
-        def neg(p: float) -> float:
-            return -(v * p - float(h_fn(x, p)))
-
-        half = 1.0
-        for _ in range(60):
-            if neg(-half) > neg(0.0) < neg(half):
-                break
-            half *= 2.0
-        else:
-            raise ValueError("could not bracket the Legendre maximizer; H not superlinear?")
-        res = minimize_scalar(neg, bracket=(-half, 0.0, half), method="golden",
-                              options={"xtol": 1e-10})
-        return -float(res.fun)
-
-    def lagrangian(x, v):
-        xb, vb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
-        out = np.empty(xb.shape)
-        for idx in np.ndindex(xb.shape):
-            out[idx] = single(float(xb[idx]), float(vb[idx]))
-        if out.shape == ():
-            return float(out)
-        return out
-
-    return lagrangian
-
-
-def generic_hamiltonian(
-    h: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    dhdp: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    d2hdp2: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    lagrangian: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-    descriptor: str = "custom",
-    critical_constant: float = 0.0,
-) -> HamiltonianModel:
-    """Wrap hand-written H derivatives; derive L numerically when not given."""
-    if lagrangian is None:
-        lagrangian = _numeric_legendre(h)
-    return HamiltonianModel(h, dhdp, d2hdp2, lagrangian, descriptor=descriptor,
-                            critical_constant=critical_constant)
-
-
-def verify_tonelli(model: HamiltonianModel, grid: Grid1D) -> float:
-    """Check positive definiteness in p on the working window |p| <= 10.
-
-    Returns the convexity floor min d2H/dp2 sampled at 41 momenta; raises if
-    it is not above 1e-8. The window covers every momentum the solvers
-    evaluate (gradients of discounted solutions stay well inside |p| <= 10
-    for the models exercised here).
-    """
-    ps = np.linspace(-10.0, 10.0, 41)
-    vals = model.d2hdp2(grid.x[:, None], ps[None, :])
-    floor = float(np.min(vals))
-    if not floor > 1e-8:
-        raise ValueError(f"model {model.descriptor!r} is not uniformly convex in p (min d2H/dp2 = {floor})")
-    return floor
+    return HamiltonianModel(np.zeros_like, "flat")
 
 
 def central_gradient(u: ScalarField) -> ScalarField:

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .adjoint import drift_field
-from .core import ConvergenceError, Grid1D, HamiltonianModel, ScalarField
+from .core import ConvergenceError, Grid1D, HamiltonianModel
 from .inviscid import solve_discounted_lax_friedrichs, solve_pendulum_ode
 from .viscous import solve_viscous
 
@@ -110,13 +110,6 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, floa
     return float(slope), float(intercept), float(r2)
 
 
-def _lf_speed_bound(model: HamiltonianModel, u_eps: ScalarField) -> float:
-    """Artificial-viscosity speed for the LF fallback, padded 25% above the
-    largest |dH/dp| seen along the viscous solution's gradient range."""
-    speed = float(np.max(np.abs(drift_field(model, u_eps).values)))
-    return max(1.25 * speed, 1.0)
-
-
 def _sweep_point(model: HamiltonianModel, lam: float, alpha: float,
                  grid: Grid1D) -> SweepRecord:
     eps = lam ** (1.0 + alpha)
@@ -128,8 +121,9 @@ def _sweep_point(model: HamiltonianModel, lam: float, alpha: float,
     if model.descriptor == "pendulum":
         u_inv = solve_pendulum_ode(lam, grid.n // 2)
     else:
-        u_inv, _ = solve_discounted_lax_friedrichs(
-            model, lam, grid, sigma=_lf_speed_bound(model, u_eps))
+        # Lax-Friedrichs speed: 25% above the largest |dH/dp| = |D+u_eps|
+        speed = float(np.max(np.abs(drift_field(model, u_eps).values)))
+        u_inv, _ = solve_discounted_lax_friedrichs(model, lam, grid, sigma=max(1.25 * speed, 1.0))
     gap = u_eps.values - u_inv.values
     return SweepRecord(
         lam=lam,
@@ -149,7 +143,7 @@ def run_sweep(model: HamiltonianModel, alpha: float,
 
     The inviscid reference is the pendulum branch ODE when the model is the
     pendulum (sampled on the same torus nodes; n must be even for that) and
-    the Lax-Friedrichs scheme otherwise. A failing point is dropped from
+    the Lax-Friedrichs scheme for any other potential. A failing point is dropped from
     the records and reported in failed_lambdas. All-zero gaps (flat model)
     fit degenerately to slope = intercept = r_squared = 0.
     """

@@ -6,7 +6,7 @@ Two independent routes to u_lambda with eps = 0:
       u'(x) = sqrt(2 * (1 - cos x - lambda * u)),  u(0) = 0  on [0, pi],
   extended to the torus by the even reflection u(2*pi - x) = u(x);
 * the monotone Lax-Friedrichs scheme, which is the viscous equation at
-  eps = sigma*h/2 solved by damped Newton, works for any Tonelli model and
+  eps = sigma*h/2 solved by damped Newton, works for any potential V and
   serves as the cross oracle.
 """
 
@@ -87,7 +87,7 @@ def solve_discounted_lax_friedrichs(model: HamiltonianModel, lam: float, grid: G
     tolerance tol*lambda/omega, omega = h/(sigma + lambda*h), restates the
     stopping rule omega*|F|_inf <= tol*lambda of the classical relaxed update
     u <- u - omega*F(u). The scheme is monotone only if
-    sigma >= max|dH/dp(x_{j+1/2}, D+u_j)|; a solution violating that, checked
+    sigma >= max|D+u_j|, the largest |dH/dp|; a solution violating that, checked
     at the returned u, or a Newton stall raises ConvergenceError advising a
     larger sigma.
     """
@@ -105,7 +105,7 @@ def solve_discounted_lax_friedrichs(model: HamiltonianModel, lam: float, grid: G
         raise ConvergenceError(
             "Newton solve of the Lax-Friedrichs scheme stalled at residual "
             f"{report.final_residual_inf:.3e}; retry with a larger sigma")
-    speed = float(np.max(np.abs(_half_node_drift(model, grid, u.values))))
+    speed = float(np.max(np.abs(_half_node_drift(grid, u.values))))
     if speed > sigma:
         raise ConvergenceError(
             f"max |dH/dp| = {speed:.3e} on the solution exceeds sigma = {sigma:.3e}, "

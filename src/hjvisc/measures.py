@@ -1,11 +1,12 @@
 """Ergodic-constant estimation and discrete occupational measures on (x, v).
 
 For a fixed viscosity eps the map lambda -> lambda * u(x0) of the discounted
-solutions converges, as lambda -> 0, to c(H) - c(eps), where c(.) denotes the
-critical constant of the cell problem H(x, du) = eps*Lu + c. Writing
-u = omega + (c(H) - c(eps))/lambda, the centered part omega stays bounded,
-so polynomial (Richardson) extrapolation of lambda * u(x0) in lambda
-recovers the limit at first order and better.
+solutions converges, as lambda -> 0, to -c(H) - c(eps), with c(H) = max V
+and c(H) + c(eps) the c of the cell problem H(x, Du) = eps*Lu + c: a shift of
+V moves c(H) alone (Davini, Fathi, Iturriaga and Zavidovique, Invent. Math.
+206 (2016)). Writing u = omega - (c(H) + c(eps))/lambda, the centered part
+omega stays bounded, so polynomial (Richardson) extrapolation of
+lambda * u(x0) in lambda recovers the limit at first order and better.
 
 The measure mu built from a solved pair (u, theta) puts weight
 h*(theta_j + theta_{j+1})/2 on the half-node phase point (x_{j+1/2}, b_{j+1/2}),
@@ -89,9 +90,9 @@ def estimate_ergodic_constant(model: HamiltonianModel, eps: float,
 
     Solves the viscous equation for each lambda in the decreasing sequence,
     extrapolates lambda * u(x0) to lambda = 0 (x0 fixed at node 0 for
-    reproducibility) and returns c(eps) = c(H) - limit, with c(H) taken from
-    the model. Each inner solve runs to the residual tolerance tol; a
-    non-converged one aborts the estimate.
+    reproducibility) and returns c(eps) = -limit - c(H), c(H) the model's
+    critical value on the grid. Each inner solve runs to the residual
+    tolerance tol; a non-converged one aborts the estimate.
     """
     lams = np.asarray(list(lam_seq), dtype=float)
     if lams.size < 3:
@@ -111,7 +112,8 @@ def estimate_ergodic_constant(model: HamiltonianModel, eps: float,
                 f"viscous solve at lambda = {lam:.6g}, eps = {eps:.6g} did not converge "
                 f"(residual {report.final_residual_inf:.3e})")
         vals[i] = lam * u.values[0]
-    return model.critical_constant - _extrapolate_to_zero(lams, vals)
+    # (0 - limit) - c(H) keeps a zero limit at +0 for the flat model
+    return (0.0 - _extrapolate_to_zero(lams, vals)) - model.critical_value(grid)
 
 
 def extract_measure(model: HamiltonianModel, u: ScalarField,

@@ -8,10 +8,11 @@ with D+u_j = (u_{j+1} - u_j)/h, D-u_j = D+u_{j-1}, x_{j+1/2} = x_j + h/2 and
 Lu the periodic central Laplacian from core. Averaging H over the two
 one-sided gradients keeps the scheme second order and, unlike H(x_j, Du_j)
 at the central gradient, lets the Hamiltonian see the node-alternating mode
-(-1)^j. Each evaluation needs one H call on the n half-node gradients. The
-Jacobian is a cyclic tridiagonal matrix, so every Newton step is one banded
-solve. The averaged scheme is not monotone: a Newton run whose residual meets
-the tolerance still counts as unconverged when its final Jacobian has an
+(-1)^j. Each evaluation needs one H call on the n half-node gradients; the
+Jacobian needs none (its drift dH/dp = p is the half-node gradient) and is
+cyclic tridiagonal, so every Newton step is one banded solve. The averaged
+scheme is not monotone: a Newton run whose residual meets the tolerance
+still counts as unconverged when its final Jacobian has an
 expansion row (see _expansion_free). A cold start that fails is always
 restarted from zero along a factor-2 descent in eps from 0.5, warm-starting
 each level with the previous solution.
@@ -45,9 +46,9 @@ def _residual_arr(model: HamiltonianModel, grid: Grid1D, u: np.ndarray,
     return g
 
 
-def _half_node_drift(model: HamiltonianModel, grid: Grid1D, u: np.ndarray) -> np.ndarray:
-    """b_{j+1/2} = dH/dp(x_{j+1/2}, D+u_j)."""
-    return model.dhdp(grid.x + 0.5 * grid.h, (np.roll(u, -1) - u) / grid.h)
+def _half_node_drift(grid: Grid1D, u: np.ndarray) -> np.ndarray:
+    """b_{j+1/2} = dH/dp(x_{j+1/2}, D+u_j) = D+u_j, since H = p^2/2 + V(x)."""
+    return (np.roll(u, -1) - u) / grid.h
 
 
 def drift_diffusion_bands(grid: Grid1D, b_half: np.ndarray, lam: float,
@@ -67,9 +68,9 @@ def drift_diffusion_bands(grid: Grid1D, b_half: np.ndarray, lam: float,
                                    super=b_half / (2.0 * h) - visc)
 
 
-def _jacobian_arr(model: HamiltonianModel, grid: Grid1D, u: np.ndarray,
-                  lam: float, eps: float) -> CyclicTridiagonalMatrix:
-    return drift_diffusion_bands(grid, _half_node_drift(model, grid, u), lam, eps)
+def _jacobian_arr(grid: Grid1D, u: np.ndarray, lam: float,
+                  eps: float) -> CyclicTridiagonalMatrix:
+    return drift_diffusion_bands(grid, _half_node_drift(grid, u), lam, eps)
 
 
 def _expansion_free(sub: np.ndarray, sup: np.ndarray) -> bool:
@@ -92,8 +93,8 @@ def viscous_residual(model: HamiltonianModel, u: ScalarField, lam: float,
 def viscous_jacobian(model: HamiltonianModel, u: ScalarField, lam: float,
                      eps: float) -> CyclicTridiagonalMatrix:
     """Exact Jacobian of the residual at u: drift_diffusion_bands at the
-    half-node drift b_{j+1/2} = dHdp(x_{j+1/2}, D+u_j)."""
-    return _jacobian_arr(model, u.grid, u.values, lam, eps)
+    half-node drift b_{j+1/2} = dH/dp(x_{j+1/2}, D+u_j) = D+u_j."""
+    return _jacobian_arr(u.grid, u.values, lam, eps)
 
 
 def _newton(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
@@ -110,7 +111,7 @@ def _newton(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
     while rnorm > tol:
         if it == MAX_NEWTON_ITERS:
             return u, it, rnorm, False
-        step = solve_cyclic_tridiagonal(_jacobian_arr(model, grid, u, lam, eps), -res)
+        step = solve_cyclic_tridiagonal(_jacobian_arr(grid, u, lam, eps), -res)
         it += 1
         t = 1.0
         while True:
@@ -124,7 +125,7 @@ def _newton(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
             if t < MIN_DAMPING_STEP:
                 # stalled: no damped step reduces the residual
                 return u, it, rnorm, False
-    jac = _jacobian_arr(model, grid, u, lam, eps)
+    jac = _jacobian_arr(grid, u, lam, eps)
     return u, it, rnorm, _expansion_free(jac.sub, jac.super)
 
 
@@ -140,7 +141,7 @@ def _continuation_chain(eps: float) -> list[float]:
 
 def solve_viscous(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
                   tol: float = 1e-10) -> tuple[ScalarField, SolveReport]:
-    """Solve the discounted viscous equation; never raises on non-convergence.
+    """Solve the discounted viscous equation; non-convergence is reported.
 
     Newton runs cold from zero at eps to the residual inf-norm tol. If that
     fails, it restarts from zero at eps = 0.5 and descends the continuation
@@ -151,7 +152,8 @@ def solve_viscous(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
     covers a Newton stall, an exhausted iteration budget (MAX_NEWTON_ITERS
     per run), and a residual that meets the tolerance at a field whose
     Jacobian has an expansion row, where the non-monotone averaged scheme
-    cannot be trusted.
+    cannot be trusted. Only a linear solve that the tridiagonal solver
+    rejects raises, as ConvergenceError.
     """
     if not (lam > 0.0 and np.isfinite(lam)):
         raise ValueError(f"lambda must be positive, got {lam!r}")

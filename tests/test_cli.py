@@ -203,6 +203,21 @@ def test_ergodic_flat_constant_is_zero(tmp_path, capsys):
     assert float(lines[1].split(",")[0]) == 0.1
 
 
+def test_ergodic_constant_is_shift_invariant(tmp_path, capsys):
+    # V and V + 0.3 shift lambda*u by -0.3 and c(H) = max V by +0.3
+    x = Grid1D(256).x
+    for eps in (0.1, 0.05):
+        c_eps = []
+        for potential in (0.3 * (np.cos(x) - 1.0), 0.3 * np.cos(x)):
+            path = tmp_path / "ergodic.json"
+            path.write_text(json.dumps({"command": "ergodic", "n": 256,
+                                        "epsilon": eps,
+                                        "potential": potential.tolist()}))
+            assert cli.main(["ergodic", "--config", str(path)]) == 0
+            c_eps.append(_stdout_value(capsys.readouterr().out, "c_eps"))
+        assert abs(c_eps[0] - c_eps[1]) <= 1e-10, (eps, c_eps)
+
+
 def test_adjoint_reports_unit_mass(capsys):
     rc = cli.main(["adjoint", "--lambda", "0.1", "--epsilon", "0.1",
                    "--n", "128"])

@@ -69,7 +69,6 @@ def test_pendulum_model_point_values():
     assert m.h(np.pi, 0.0) == -2.0
     assert m.lagrangian(0.0, 0.0) == 0.0
     assert m.dhdp(1.3, 0.7) == 0.7
-    assert m.d2hdp2(1.3, 0.7) == 1.0
     # running cost L(x, v) = v^2/2 - cos x + 1 is nonnegative
     x = np.linspace(0.0, hv.TWO_PI, 40)
     v = np.linspace(-3.0, 3.0, 40)
@@ -105,38 +104,6 @@ def test_legendre_duality_closed_form_models():
             v = m.dhdp(g.x, p)
             defect = m.lagrangian(g.x, v) + m.h(g.x, p) - p * v
             assert np.max(np.abs(defect)) <= 1e-10
-
-
-def test_legendre_duality_numeric_transform():
-    # quartic kinetic energy: the Lagrangian has no closed form here and
-    # goes through the bracketed golden-section maximization
-    m = hv.generic_hamiltonian(
-        h=lambda x, p: 0.25 * p ** 4 + 0.5 * p ** 2 + 0.0 * x,
-        dhdp=lambda x, p: p ** 3 + p + 0.0 * x,
-        d2hdp2=lambda x, p: 3.0 * p ** 2 + 1.0 + 0.0 * x,
-        descriptor="quartic",
-    )
-    for p in np.linspace(-2.0, 2.0, 17):
-        v = float(m.dhdp(0.0, p))
-        lag = float(m.lagrangian(0.0, v))
-        exact = 0.75 * p ** 4 + 0.5 * p ** 2
-        assert abs(lag - exact) <= 1e-8
-        assert abs(lag + m.h(0.0, p) - p * v) <= 1e-8
-
-
-def test_verify_tonelli_accepts_convex_rejects_concave():
-    g = hv.Grid1D(32)
-    floor = hv.verify_tonelli(hv.pendulum_hamiltonian(), g)
-    assert abs(floor - 1.0) <= 1e-12
-
-    concave = hv.generic_hamiltonian(
-        h=lambda x, p: -0.5 * p ** 2 + 0.0 * x,
-        dhdp=lambda x, p: -p + 0.0 * x,
-        d2hdp2=lambda x, p: -1.0 + 0.0 * x,
-        descriptor="concave",
-    )
-    with pytest.raises(ValueError):
-        hv.verify_tonelli(concave, g)
 
 
 def test_stencils_annihilate_constants():
