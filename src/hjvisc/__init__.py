@@ -4,8 +4,8 @@ regularization, and a vanishing-viscosity convergence harness."""
 
 from .core import (ConvergenceError, DensityField, Grid1D, HamiltonianModel,
                    ScalarField, SolveReport, TWO_PI, central_gradient,
-                   discrete_laplacian, flat_hamiltonian, inf_norm_diff,
-                   pendulum_hamiltonian, separable_hamiltonian)
+                   discrete_laplacian, flat_hamiltonian, pendulum_hamiltonian,
+                   separable_hamiltonian)
 from .tridiag import CyclicTridiagonalMatrix, solve_cyclic_tridiagonal
 from .viscous import solve_viscous, viscous_jacobian, viscous_residual
 from .inviscid import (checked_radicand, solve_discounted_lax_friedrichs,
@@ -25,8 +25,8 @@ from .cli import RunConfig, field_to_csv, main
 __all__ = [
     "ConvergenceError", "DensityField", "Grid1D", "HamiltonianModel",
     "ScalarField", "SolveReport", "TWO_PI", "central_gradient",
-    "discrete_laplacian", "flat_hamiltonian", "inf_norm_diff",
-    "pendulum_hamiltonian", "separable_hamiltonian",
+    "discrete_laplacian", "flat_hamiltonian", "pendulum_hamiltonian",
+    "separable_hamiltonian",
     "CyclicTridiagonalMatrix", "solve_cyclic_tridiagonal",
     "solve_viscous", "viscous_jacobian", "viscous_residual",
     "checked_radicand", "solve_discounted_lax_friedrichs", "solve_pendulum_ode",

@@ -24,7 +24,7 @@ import numpy as np
 
 from .adjoint import solve_adjoint_stationary
 from .core import (ConvergenceError, Grid1D, HamiltonianModel, ScalarField,
-                   flat_hamiltonian, pendulum_hamiltonian,
+                   SolveReport, flat_hamiltonian, pendulum_hamiltonian,
                    separable_hamiltonian)
 from .harness import DEFAULT_LAMBDA_LIST, run_sweep, sweep_to_csv, _g17
 from .inviscid import solve_discounted_lax_friedrichs, solve_pendulum_ode
@@ -35,67 +35,57 @@ from .viscous import solve_viscous
 
 @dataclass(frozen=True)
 class _Param:
-    kind: str                 # str | int | float | floats
+    kind: str                 # str | int | float | floats (config only)
     default: Any = None
     required: bool = False
-    flag: bool = True         # exposed as a command-line flag
     positive: bool = False
     help: str = ""
 
 
-_HAM = _Param("str", default="pendulum", help="model name: pendulum or flat")
-_POT = _Param("floats", flag=False,
-              help="inline potential samples on the run grid (config only)")
+_MODEL = {
+    "hamiltonian": _Param("str", default="pendulum", help="model name: pendulum or flat"),
+    "potential": _Param("floats", help="inline potential samples on the run grid (config only)"),
+}
+_LAMBDA = _Param("float", required=True, positive=True, help="discount factor")
+_EPS = _Param("float", required=True, positive=True, help="viscosity")
+_TOL = _Param("float", default=1e-10, positive=True, help="Newton residual tolerance")
+_SIGMA = _Param("float", positive=True, help="Lax-Friedrichs speed bound")
 _OUT = _Param("str", help="output CSV path")
-
-
-def _n_param(default: int) -> _Param:
-    return _Param("int", default=default, positive=True, help="grid size")
-
+_N1024 = _Param("int", default=1024, positive=True, help="grid size")
+_N2048 = _Param("int", default=2048, positive=True, help="grid size")
 
 _SCHEMAS: dict[str, dict[str, _Param]] = {
     "solve-viscous": {
-        "hamiltonian": _HAM, "potential": _POT, "n": _n_param(1024),
-        "lambda": _Param("float", required=True, positive=True, help="discount factor"),
-        "epsilon": _Param("float", required=True, positive=True, help="viscosity"),
-        "tol": _Param("float", default=1e-10, positive=True, help="Newton residual tolerance"),
-        "out": _OUT,
+        **_MODEL, "n": _N1024, "lambda": _LAMBDA, "epsilon": _EPS, "tol": _TOL, "out": _OUT,
     },
     "solve-inviscid": {
-        "hamiltonian": _HAM, "potential": _POT, "n": _n_param(1024),
-        "lambda": _Param("float", required=True, positive=True, help="discount factor"),
+        **_MODEL, "n": _N1024, "lambda": _LAMBDA,
         "method": _Param("str", help="ode (pendulum only) or lf; default by model"),
-        "sigma": _Param("float", positive=True, help="Lax-Friedrichs speed bound"),
+        "sigma": _SIGMA,
         "tol": _Param("float", default=1e-8, positive=True,
                       help="Newton stops at omega*|F|_inf <= tol*lambda, omega = h/(sigma+lambda*h)"),
         "out": _OUT,
     },
     "adjoint": {
-        "hamiltonian": _HAM, "potential": _POT, "n": _n_param(2048),
-        "lambda": _Param("float", required=True, positive=True, help="discount factor"),
-        "epsilon": _Param("float", required=True, positive=True, help="viscosity"),
+        **_MODEL, "n": _N2048, "lambda": _LAMBDA, "epsilon": _EPS,
         "x0-index": _Param("int", default=0, help="source node index"),
-        "tol": _Param("float", default=1e-10, positive=True, help="Newton residual tolerance"),
-        "out": _OUT,
+        "tol": _TOL, "out": _OUT,
     },
     "ergodic": {
-        "hamiltonian": _HAM, "potential": _POT, "n": _n_param(1024),
-        "epsilon": _Param("float", required=True, positive=True, help="viscosity"),
-        "lambda-seq": _Param("floats", default=(1e-2, 5e-3, 2.5e-3), flag=False,
+        **_MODEL, "n": _N1024, "epsilon": _EPS,
+        "lambda-seq": _Param("floats", default=(1e-2, 5e-3, 2.5e-3),
                              help="decreasing discount sequence (config only)"),
         "out": _OUT,
     },
     "supconv": {
-        "hamiltonian": _HAM, "potential": _POT, "n": _n_param(2048),
-        "lambda": _Param("float", required=True, positive=True, help="discount factor"),
+        **_MODEL, "n": _N2048, "lambda": _LAMBDA,
         "delta": _Param("float", required=True, positive=True, help="sup-convolution parameter"),
-        "sigma": _Param("float", positive=True, help="Lax-Friedrichs speed bound"),
-        "out": _OUT,
+        "sigma": _SIGMA, "out": _OUT,
     },
     "sweep": {
-        "hamiltonian": _HAM, "potential": _POT, "n": _n_param(2048),
+        **_MODEL, "n": _N2048,
         "alpha": _Param("float", required=True, positive=True, help="coupling exponent"),
-        "lambda-list": _Param("floats", default=tuple(DEFAULT_LAMBDA_LIST), flag=False,
+        "lambda-list": _Param("floats", default=tuple(DEFAULT_LAMBDA_LIST),
                               help="decreasing discount list (config only)"),
         "out": _OUT,
     },
@@ -117,19 +107,15 @@ class RunConfig:
             raise ValueError(f"missing required parameter(s): {', '.join(sorted(missing))}")
         for key, p in schema.items():
             val = self.params.get(key)
-            if val is None:
-                continue
-            if p.positive and p.kind in ("int", "float") and not val > 0:
+            if p.positive and val is not None and not val > 0:
                 raise ValueError(f"{key} must be positive, got {val!r}")
 
     def dump(self) -> str:
-        doc: dict[str, Any] = {"command": self.command}
-        for key in sorted(self.params):
-            val = self.params[key]
-            if isinstance(val, tuple):
-                val = list(val)
-            doc[key] = val
-        return json.dumps(doc, indent=2, sort_keys=True)
+        return json.dumps({"command": self.command, **self.params}, indent=2, sort_keys=True)
+
+
+def _is_number(val: Any) -> bool:
+    return isinstance(val, (int, float, np.floating)) and not isinstance(val, bool)
 
 
 def _coerce(key: str, p: _Param, val: Any) -> Any:
@@ -140,18 +126,16 @@ def _coerce(key: str, p: _Param, val: Any) -> Any:
             raise ValueError(f"{key} must be an integer, got {val!r}")
         return int(val)
     if p.kind == "float":
-        if isinstance(val, bool) or not isinstance(val, (int, float, np.floating)):
+        if not _is_number(val):
             raise ValueError(f"{key} must be a number, got {val!r}")
         return float(val)
     if p.kind == "floats":
-        if not isinstance(val, (list, tuple)):
+        if not (isinstance(val, (list, tuple)) and all(map(_is_number, val))):
             raise ValueError(f"{key} must be a list of numbers")
         return tuple(float(v) for v in val)
-    if p.kind == "str":
-        if not isinstance(val, str):
-            raise ValueError(f"{key} must be a string, got {val!r}")
-        return val
-    raise AssertionError(f"unhandled parameter kind {p.kind!r}")
+    if not isinstance(val, str):
+        raise ValueError(f"{key} must be a string, got {val!r}")
+    return val
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -165,8 +149,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dump-config", action="store_true",
                        help="print the resolved config as JSON and exit")
         for key, param in schema.items():
-            if not param.flag:
-                continue
+            if param.kind == "floats":
+                continue  # list-valued: config only
             typ = {"int": int, "float": float, "str": str}[param.kind]
             p.add_argument(f"--{key}", dest=key, type=typ, default=None,
                            help=param.help)
@@ -195,15 +179,15 @@ def _resolve(command: str, ns_map: dict[str, Any]) -> RunConfig:
         for key, val in raw.items():
             values[key] = _coerce(key, schema[key], val)
     for key, param in schema.items():
-        if param.flag and ns_map.get(key) is not None:
+        if ns_map.get(key) is not None:
             values[key] = _coerce(key, param, ns_map[key])
     return RunConfig(command, values)
 
 
-def _build_model(cfg: RunConfig) -> HamiltonianModel:
+def _build_model(cfg: RunConfig, grid: Grid1D) -> HamiltonianModel:
     pot = cfg.params.get("potential")
     if pot is not None:
-        return separable_hamiltonian(pot, Grid1D(cfg.params["n"]), name="inline")
+        return separable_hamiltonian(pot, grid)
     name = cfg.params["hamiltonian"]
     if name == "pendulum":
         return pendulum_hamiltonian()
@@ -212,8 +196,8 @@ def _build_model(cfg: RunConfig) -> HamiltonianModel:
     raise ValueError(f"unknown hamiltonian {name!r} (pendulum, flat, or inline potential)")
 
 
-def field_to_csv(field: ScalarField | Any) -> str:
-    """`x,value` rows for a nodal field (ScalarField or DensityField)."""
+def field_to_csv(field: ScalarField) -> str:
+    """`x,value` rows for a nodal field (a DensityField is one too)."""
     lines = ["x,value"]
     for x, v in zip(field.grid.x, field.values):
         lines.append(f"{_g17(x)},{_g17(v)}")
@@ -228,11 +212,12 @@ def _write_out(cfg: RunConfig, text: str) -> None:
 
 def _solve_inviscid_field(cfg: RunConfig, model: HamiltonianModel,
                           grid: Grid1D) -> ScalarField:
+    pendulum = model == pendulum_hamiltonian()
     method = cfg.params.get("method")
     if method is None:
-        method = "ode" if model.descriptor == "pendulum" else "lf"
+        method = "ode" if pendulum else "lf"
     if method == "ode":
-        if model.descriptor != "pendulum":
+        if not pendulum:
             raise ValueError("the branch ODE reference applies to the pendulum only")
         if grid.n % 2 != 0:
             raise ValueError("the ODE reference needs an even grid size")
@@ -247,48 +232,43 @@ def _solve_inviscid_field(cfg: RunConfig, model: HamiltonianModel,
     raise ValueError(f"unknown method {method!r} (ode or lf)")
 
 
-def _cmd_solve_viscous(cfg: RunConfig) -> int:
-    grid = Grid1D(cfg.params["n"])
-    model = _build_model(cfg)
+def _solve_viscous_checked(cfg: RunConfig, model: HamiltonianModel,
+                           grid: Grid1D) -> tuple[ScalarField, SolveReport]:
     u, report = solve_viscous(model, cfg.params["lambda"], cfg.params["epsilon"],
                               grid, cfg.params["tol"])
     if not report.converged:
         raise ConvergenceError(
             f"Newton stalled at residual {report.final_residual_inf:.3e} "
             f"after {report.iterations} iterations")
+    return u, report
+
+
+def _cmd_solve_viscous(cfg: RunConfig, model: HamiltonianModel, grid: Grid1D) -> int:
+    u, report = _solve_viscous_checked(cfg, model, grid)
     _write_out(cfg, field_to_csv(u))
     print(f"iterations={report.iterations} residual_inf={_g17(report.final_residual_inf)} "
           f"continuation_steps={report.continuation_steps}")
     return 0
 
 
-def _cmd_solve_inviscid(cfg: RunConfig) -> int:
-    grid = Grid1D(cfg.params["n"])
-    model = _build_model(cfg)
+def _cmd_solve_inviscid(cfg: RunConfig, model: HamiltonianModel, grid: Grid1D) -> int:
     u = _solve_inviscid_field(cfg, model, grid)
     _write_out(cfg, field_to_csv(u))
     print(f"max_u={_g17(float(np.max(u.values)))}")
     return 0
 
 
-def _cmd_adjoint(cfg: RunConfig) -> int:
-    grid = Grid1D(cfg.params["n"])
-    model = _build_model(cfg)
-    lam, eps = cfg.params["lambda"], cfg.params["epsilon"]
-    u, report = solve_viscous(model, lam, eps, grid, cfg.params["tol"])
-    if not report.converged:
-        raise ConvergenceError(
-            f"Newton stalled at residual {report.final_residual_inf:.3e}")
-    theta = solve_adjoint_stationary(model, u, lam, eps, cfg.params["x0-index"])
+def _cmd_adjoint(cfg: RunConfig, model: HamiltonianModel, grid: Grid1D) -> int:
+    u, _report = _solve_viscous_checked(cfg, model, grid)
+    theta = solve_adjoint_stationary(model, u, cfg.params["lambda"], cfg.params["epsilon"],
+                                     cfg.params["x0-index"])
     _write_out(cfg, field_to_csv(theta))
     print(f"mass={_g17(grid.h * float(np.sum(theta.values)))} "
           f"renorm_factor={_g17(theta.renorm_factor)}")
     return 0
 
 
-def _cmd_ergodic(cfg: RunConfig) -> int:
-    grid = Grid1D(cfg.params["n"])
-    model = _build_model(cfg)
+def _cmd_ergodic(cfg: RunConfig, model: HamiltonianModel, grid: Grid1D) -> int:
     eps = cfg.params["epsilon"]
     c_eps = estimate_ergodic_constant(model, eps, cfg.params["lambda-seq"], grid)
     _write_out(cfg, f"epsilon,c_eps\n{_g17(eps)},{_g17(c_eps)}\n")
@@ -296,9 +276,7 @@ def _cmd_ergodic(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_supconv(cfg: RunConfig) -> int:
-    grid = Grid1D(cfg.params["n"])
-    model = _build_model(cfg)
+def _cmd_supconv(cfg: RunConfig, model: HamiltonianModel, grid: Grid1D) -> int:
     u = _solve_inviscid_field(cfg, model, grid)
     u_delta = sup_convolution(u, cfg.params["delta"])
     defect = subsolution_defect(u_delta, cfg.params["lambda"], model)
@@ -307,10 +285,8 @@ def _cmd_supconv(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_sweep(cfg: RunConfig) -> int:
-    model = _build_model(cfg)
-    result = run_sweep(model, cfg.params["alpha"], cfg.params["lambda-list"],
-                       cfg.params["n"])
+def _cmd_sweep(cfg: RunConfig, model: HamiltonianModel, grid: Grid1D) -> int:
+    result = run_sweep(model, cfg.params["alpha"], cfg.params["lambda-list"], grid.n)
     _write_out(cfg, sweep_to_csv(result))
     print(f"fitted_slope={_g17(result.fitted_slope)} r_squared={_g17(result.r_squared)} "
           f"records={len(result.records)} failed={len(result.failed_lambdas)}")
@@ -346,7 +322,8 @@ def main(argv: list[str] | None = None) -> int:
         if ns_map.get("dump_config"):
             print(cfg.dump())
             return 0
-        return _DISPATCH[command](cfg)
+        grid = Grid1D(cfg.params["n"])
+        return _DISPATCH[command](cfg, _build_model(cfg, grid), grid)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

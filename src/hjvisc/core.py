@@ -1,8 +1,8 @@
 """Shared numerical core: periodic grid, fields, the model H = p^2/2 + V(x), stencils.
 
 Everything downstream (viscous and inviscid solvers, adjoint densities,
-measures) works on a uniform grid over the flat torus of circumference
-``length`` (default 2*pi) with nodes x_j = j*h, j = 0..n-1, h = length/n.
+measures) works on a uniform grid over the flat torus of circumference 2*pi
+with nodes x_j = j*h, j = 0..n-1, h = 2*pi/n.
 Derivatives are the standard second-order periodic stencils
 
     Du_j  = (u_{j+1} - u_{j-1}) / (2h)
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -28,28 +28,20 @@ class ConvergenceError(RuntimeError):
     """An iterative solve failed or a solver-side guard rejected the state."""
 
 
-def _frozen(values: np.ndarray) -> np.ndarray:
-    out = np.array(values, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform periodic grid on a circle of given circumference.
+    """Uniform periodic grid of n nodes on the 2*pi torus.
 
     n must be at least 8; coarser grids cannot carry the second-order
     stencils meaningfully and are rejected outright.
     """
 
     n: int
-    length: float = TWO_PI
+    length: ClassVar[float] = TWO_PI
 
     def __post_init__(self) -> None:
         if not isinstance(self.n, (int, np.integer)) or self.n < 8:
             raise ValueError(f"grid needs an integer n >= 8, got {self.n!r}")
-        if not (self.length > 0.0 and math.isfinite(self.length)):
-            raise ValueError(f"grid length must be positive and finite, got {self.length!r}")
 
     @property
     def h(self) -> float:
@@ -68,7 +60,8 @@ class ScalarField:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = _frozen(self.values)
+        vals = np.array(self.values, dtype=float)
+        vals.setflags(write=False)
         if vals.shape != (self.grid.n,):
             raise ValueError(
                 f"field length {vals.shape} does not match grid n={self.grid.n}"
@@ -79,7 +72,7 @@ class ScalarField:
 
 
 @dataclass(frozen=True)
-class DensityField:
+class DensityField(ScalarField):
     """Nonnegative (to roundoff) probability density: h * sum(values) == 1.
 
     Entries may dip to -1e-12 from finite arithmetic; anything below that is
@@ -88,25 +81,16 @@ class DensityField:
     constructing the field.
     """
 
-    grid: Grid1D
-    values: np.ndarray
     renorm_factor: float | None = None
 
     def __post_init__(self) -> None:
-        vals = _frozen(self.values)
-        if vals.shape != (self.grid.n,):
-            raise ValueError(
-                f"density length {vals.shape} does not match grid n={self.grid.n}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("density contains non-finite values")
-        mass = self.grid.h * float(vals.sum())
+        super().__post_init__()
+        mass = self.grid.h * float(self.values.sum())
         if abs(mass - 1.0) > 1e-8:
             raise ValueError(f"density mass {mass!r} deviates from 1 beyond 1e-8")
-        lo = float(vals.min())
+        lo = float(self.values.min())
         if lo < -1e-12:
             raise ValueError(f"density entry {lo!r} below the -1e-12 floor")
-        object.__setattr__(self, "values", vals)
 
 
 @dataclass(frozen=True)
@@ -131,7 +115,6 @@ class HamiltonianModel:
     """
 
     potential: Callable[[np.ndarray], np.ndarray]
-    descriptor: str
     level: float = 0.0
 
     def h(self, x, p):
@@ -157,27 +140,23 @@ def pendulum_hamiltonian() -> HamiltonianModel:
     Its Legendre dual is L(x, v) = v^2/2 - cos x + 1 >= 0, vanishing only at
     (x, v) = (0, 0), which is the rest point the discounted dynamics settle on.
     """
-    return HamiltonianModel(np.cos, "pendulum", level=-1.0)
+    return HamiltonianModel(np.cos, level=-1.0)
 
 
 def separable_hamiltonian(
-    potential: Callable[[np.ndarray], np.ndarray] | ScalarField | np.ndarray,
+    potential: Callable[[np.ndarray], np.ndarray] | np.ndarray,
     grid: Grid1D | None = None,
-    name: str = "separable",
 ) -> HamiltonianModel:
     """The model H(x, p) = p^2/2 + V(x) for a checked potential V.
 
-    The potential may be a vectorized callable, a ScalarField, or an array of
-    n samples on ``grid`` (samples are evaluated off-node by periodic linear
+    The potential may be a vectorized callable or an array of n samples on
+    ``grid`` (samples are evaluated off-node by periodic linear
     interpolation, exact at the nodes). Non-finite samples are rejected.
+    Solvers tell models apart by equality, never by how they were built:
+    only a model equal to pendulum_hamiltonian() gets the branch-ODE
+    reference, so separable_hamiltonian(np.cos), which is V = cos x at
+    level 0, is solved by Lax-Friedrichs like any other potential.
     """
-
-    if isinstance(potential, ScalarField):
-        if grid is not None and grid != potential.grid:
-            raise ValueError("potential field lives on a different grid")
-        grid = potential.grid
-        potential = potential.values
-
     if callable(potential):
         v_fn = potential
         if not np.all(np.isfinite(v_fn(np.linspace(0.0, TWO_PI, 16)))):
@@ -195,12 +174,12 @@ def separable_hamiltonian(
         def v_fn(x):
             return np.interp(np.mod(x, grid.length), xs, vs)
 
-    return HamiltonianModel(v_fn, name)
+    return HamiltonianModel(v_fn)
 
 
 def flat_hamiltonian() -> HamiltonianModel:
     """H(x, p) = p^2/2 (zero potential); the discounted solution is u == 0."""
-    return HamiltonianModel(np.zeros_like, "flat")
+    return HamiltonianModel(np.zeros_like)
 
 
 def central_gradient(u: ScalarField) -> ScalarField:
@@ -215,10 +194,3 @@ def discrete_laplacian(u: ScalarField) -> ScalarField:
     v = u.values
     out = (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / (u.grid.h ** 2)
     return ScalarField(u.grid, out)
-
-
-def inf_norm_diff(a: ScalarField, b: ScalarField) -> float:
-    """max_j |a_j - b_j|; the fields must share one grid."""
-    if a.grid != b.grid:
-        raise ValueError("fields live on different grids")
-    return float(np.max(np.abs(a.values - b.values)))

@@ -16,8 +16,7 @@ import math
 
 import numpy as np
 
-from .core import (ConvergenceError, Grid1D, HamiltonianModel, ScalarField, SolveReport,
-                   TWO_PI)
+from .core import ConvergenceError, Grid1D, HamiltonianModel, ScalarField, SolveReport
 from .viscous import _half_node_drift, solve_viscous
 
 RADICAND_REJECT = -1e-8
@@ -47,8 +46,8 @@ def solve_pendulum_ode(lam: float, n_half: int) -> ScalarField:
     """
     if not (lam > 0.0 and math.isfinite(lam)):
         raise ValueError(f"lambda must be positive, got {lam!r}")
-    if n_half < 4:
-        raise ValueError("n_half must be at least 4")
+    if not isinstance(n_half, (int, np.integer)) or n_half < 4:
+        raise ValueError(f"n_half must be an integer >= 4, got {n_half!r}")
 
     h = math.pi / n_half
 
@@ -72,7 +71,7 @@ def solve_pendulum_ode(lam: float, n_half: int) -> ScalarField:
     full = np.empty(n)
     full[: n_half + 1] = half
     full[n_half + 1:] = half[n_half - 1: 0: -1]
-    return ScalarField(Grid1D(n, TWO_PI), full)
+    return ScalarField(Grid1D(n), full)
 
 
 def solve_discounted_lax_friedrichs(model: HamiltonianModel, lam: float, grid: Grid1D,

@@ -62,11 +62,6 @@ class DiscreteMeasure:
         object.__setattr__(self, "velocities", vel)
         object.__setattr__(self, "weights", wts)
 
-    @property
-    def support(self) -> list[tuple[float, float]]:
-        """The (x, v) pairs carrying the weights, in node order."""
-        return [(float(x), float(v)) for x, v in zip(self.positions, self.velocities)]
-
 
 def _extrapolate_to_zero(lams: np.ndarray, vals: np.ndarray) -> float:
     """Neville polynomial extrapolation of vals(lam) to lam = 0.

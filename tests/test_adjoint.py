@@ -69,7 +69,7 @@ def test_random_potentials_solve_finite_and_adjoint_is_transpose(coeffs, lam, n,
         return sum(a * np.cos(k * x) + b * np.sin(k * x)
                    for k, (a, b) in enumerate(coeffs, start=1))
 
-    model = hv.separable_hamiltonian(potential, name="random")
+    model = hv.separable_hamiltonian(potential)
     grid = hv.Grid1D(n)
     v = potential(np.linspace(0.0, hv.TWO_PI, 4097))
     # |u'| <= sqrt(2*osc V) for the inviscid solution; the pad covers viscous drift

@@ -104,6 +104,19 @@ def test_config_rejects_wrong_types(tmp_path, capsys):
     assert "number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, raw", [
+    ("solve-viscous", {"lambda": 0.1, "epsilon": 0.05, "n": 64, "potential": [[1]]}),
+    ("ergodic", {"epsilon": 0.1, "n": 64, "lambda-seq": [None, 0.1, 0.01]}),
+    ("ergodic", {"epsilon": 0.1, "n": 64, "lambda-seq": [True, 0.5, 0.25]}),
+])
+def test_config_lists_hold_only_numbers(command, raw, tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps(raw))
+    assert cli.main([command, "--config", str(path)]) == 1
+    key = next(k for k in raw if isinstance(raw[k], list))
+    assert f"{key} must be a list of numbers" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

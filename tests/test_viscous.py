@@ -82,7 +82,7 @@ def test_manufactured_solution_second_order():
         return (eps * (-0.3 * np.sin(x)) - lam * 0.3 * np.sin(x)
                 - (0.3 * np.cos(x)) ** 2 / 2.0)
 
-    model = hv.separable_hamiltonian(potential, name="manufactured")
+    model = hv.separable_hamiltonian(potential)
     errs = []
     for n in (256, 512, 1024, 2048):
         u, _ = _solve(model, lam, eps, n)
