@@ -20,7 +20,7 @@ from .regularize import subsolution_defect, sup_convolution
 from .harness import (DEFAULT_LAMBDA_LIST, SweepRecord, SweepResult,
                       check_lower_bound, check_upper_bound, fit_loglog_slope,
                       run_sweep, sweep_to_csv)
-from .cli import RunConfig, field_to_csv, main
+from .cli import field_to_csv, main
 
 __all__ = [
     "ConvergenceError", "DensityField", "Grid1D", "HamiltonianModel",
@@ -37,7 +37,7 @@ __all__ = [
     "subsolution_defect", "sup_convolution",
     "DEFAULT_LAMBDA_LIST", "SweepRecord", "SweepResult", "check_lower_bound",
     "check_upper_bound", "fit_loglog_slope", "run_sweep", "sweep_to_csv",
-    "RunConfig", "field_to_csv", "main",
+    "field_to_csv", "main",
     "__version__",
 ]
 

@@ -31,7 +31,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import (ConvergenceError, DensityField, Grid1D, HamiltonianModel,
-                   ScalarField)
+                   ScalarField, check_index, check_positive, check_unit_mass)
 from .tridiag import (CyclicTridiagonalMatrix, factor_cyclic_tridiagonal,
                       solve_cyclic_tridiagonal)
 from .viscous import _half_node_drift, drift_diffusion_bands, viscous_jacobian
@@ -44,12 +44,6 @@ def drift_field(model: HamiltonianModel, u: ScalarField) -> ScalarField:
     """Half-node drift b_{j+1/2} = dH/dp(x_{j+1/2}, D+u_j) = D+u_j at index j,
     for every model: the drift of the Newton Jacobian, adjoint and measure."""
     return ScalarField(u.grid, _half_node_drift(u.grid, u.values))
-
-
-def _check_source(grid: Grid1D, x0_index: int) -> None:
-    if (isinstance(x0_index, bool) or not isinstance(x0_index, (int, np.integer))
-            or not 0 <= x0_index < grid.n):
-        raise ValueError(f"x0_index must be an integer in 0..{grid.n - 1}, got {x0_index!r}")
 
 
 def solve_adjoint_stationary(model: HamiltonianModel, u: ScalarField, lam: float,
@@ -65,9 +59,9 @@ def solve_adjoint_stationary(model: HamiltonianModel, u: ScalarField, lam: float
     and is recorded on the returned field.
     """
     grid = u.grid
-    if not (lam > 0.0 and math.isfinite(lam) and eps > 0.0 and math.isfinite(eps)):
-        raise ValueError(f"lambda and eps must be positive and finite, got {lam!r}, {eps!r}")
-    _check_source(grid, x0_index)
+    check_positive("lambda", lam)
+    check_positive("eps", eps)
+    check_index("x0_index", x0_index, 0, grid.n)
 
     system = viscous_jacobian(model, u, lam, eps).transpose()
     rhs = np.zeros(grid.n)
@@ -91,12 +85,11 @@ def solve_adjoint_stationary(model: HamiltonianModel, u: ScalarField, lam: float
 class FokkerPlanckStream:
     """Lazy implicit-Euler snapshots (t_k, rho_k), t_k = k*dt, k = 0..steps,
     each validated through DensityField. Holds the factorized step
-    rho -> P rho, dt, the step count and the source node."""
+    rho -> P rho, dt and the step count; it starts from the Dirac at x0_index."""
 
     def __init__(self, grid: Grid1D, step, dt: float, steps: int,
                  x0_index: int) -> None:
-        self.grid, self.step, self.dt = grid, step, dt
-        self.steps, self.x0_index = steps, x0_index
+        self.grid, self.step, self.dt, self.steps = grid, step, dt, steps
         self._k = -1                  # index of the last snapshot yielded
         self._rho = np.zeros(grid.n)  # that snapshot, or the Dirac before it
         self._rho[x0_index] = 1.0 / grid.h
@@ -129,13 +122,14 @@ def evolve_fokker_planck(drift: ScalarField, eps: float, x0_index: int,
     grid = drift.grid
     if dt is None:
         dt = grid.h
-    if not all(v > 0.0 and math.isfinite(v) for v in (eps, dt, t_final)):
-        raise ValueError(f"eps, dt, t_final must be positive and finite: {eps}, {dt}, {t_final}")
+    check_positive("eps", eps)
+    check_positive("t_final", t_final)
+    check_positive("dt", dt)
     if t_final < dt:
         raise ValueError("horizon shorter than one step")
     if not math.isfinite(t_final / dt):
         raise ValueError(f"step count t_final/dt must be finite: {t_final}/{dt}")
-    _check_source(grid, x0_index)
+    check_index("x0_index", x0_index, 0, grid.n)
 
     # -(D[b*.] + eps*L): the Jacobian's stencil at lambda = 0, transposed
     gen = drift_diffusion_bands(grid, drift.values, 0.0, eps).transpose()
@@ -153,16 +147,11 @@ def _trapezoid_weights(lam: float, dt: float) -> tuple[float, float]:
 
 
 def _check_unit_sources(grid: Grid1D, cols: np.ndarray) -> None:
-    """DensityField's rules on each snapshot cols[:, j]/h of a unit source."""
-    if not np.all(np.isfinite(cols)):
-        raise ValueError("density contains non-finite values")
+    """DensityField's rules on each snapshot cols[:, j]/h of a unit source
+    (a non-finite column has a non-finite mass)."""
     mass = cols.sum(axis=0)
-    worst = float(mass[np.argmax(np.abs(mass - 1.0))])
-    if abs(worst - 1.0) > 1e-8:
-        raise ValueError(f"density mass {worst!r} deviates from 1 beyond 1e-8")
-    lo = float(cols.min()) / grid.h
-    if lo < -1e-12:
-        raise ValueError(f"density entry {lo!r} below the -1e-12 floor")
+    check_unit_mass("density", float(mass[np.argmax(np.abs(mass - 1.0))]),
+                    float(cols.min()) / grid.h)
 
 
 def _skip_blocks(stream: FokkerPlanckStream, lam: float):
@@ -220,8 +209,7 @@ def stationary_from_transient(rho_sequence: Iterable[tuple[float, DensityField]]
     h*rho_{bm} that sum to 1 within 1e-8 and are >= -1e-12*h, so its mass is
     within about 2e-8 of 1 and its entries are >= about -(n + 1)*1e-12.
     """
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError(f"lambda must be positive, got {lam!r}")
+    check_positive("lambda", lam)
 
     acc, it = 0.0, iter(rho_sequence)
     if (isinstance(rho_sequence, FokkerPlanckStream) and rho_sequence._k < 0

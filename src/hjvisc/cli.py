@@ -18,13 +18,13 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
 from .adjoint import solve_adjoint_stationary
 from .core import (ConvergenceError, Grid1D, HamiltonianModel, ScalarField,
-                   SolveReport, flat_hamiltonian, pendulum_hamiltonian,
+                   check_positive, flat_hamiltonian, pendulum_hamiltonian,
                    separable_hamiltonian)
 from .harness import DEFAULT_LAMBDA_LIST, run_sweep, sweep_to_csv, _g17
 from .inviscid import solve_discounted_lax_friedrichs, solve_pendulum_ode
@@ -53,65 +53,6 @@ _SIGMA = _Param("float", positive=True, help="Lax-Friedrichs speed bound")
 _OUT = _Param("str", help="output CSV path")
 _N1024 = _Param("int", default=1024, positive=True, help="grid size")
 _N2048 = _Param("int", default=2048, positive=True, help="grid size")
-
-_SCHEMAS: dict[str, dict[str, _Param]] = {
-    "solve-viscous": {
-        **_MODEL, "n": _N1024, "lambda": _LAMBDA, "epsilon": _EPS, "tol": _TOL, "out": _OUT,
-    },
-    "solve-inviscid": {
-        **_MODEL, "n": _N1024, "lambda": _LAMBDA,
-        "method": _Param("str", help="ode (pendulum only) or lf; default by model"),
-        "sigma": _SIGMA,
-        "tol": _Param("float", default=1e-8, positive=True,
-                      help="Newton stops at omega*|F|_inf <= tol*lambda, omega = h/(sigma+lambda*h)"),
-        "out": _OUT,
-    },
-    "adjoint": {
-        **_MODEL, "n": _N2048, "lambda": _LAMBDA, "epsilon": _EPS,
-        "x0-index": _Param("int", default=0, help="source node index"),
-        "tol": _TOL, "out": _OUT,
-    },
-    "ergodic": {
-        **_MODEL, "n": _N1024, "epsilon": _EPS,
-        "lambda-seq": _Param("floats", default=(1e-2, 5e-3, 2.5e-3),
-                             help="decreasing discount sequence (config only)"),
-        "out": _OUT,
-    },
-    "supconv": {
-        **_MODEL, "n": _N2048, "lambda": _LAMBDA,
-        "delta": _Param("float", required=True, positive=True, help="sup-convolution parameter"),
-        "sigma": _SIGMA, "out": _OUT,
-    },
-    "sweep": {
-        **_MODEL, "n": _N2048,
-        "alpha": _Param("float", required=True, positive=True, help="coupling exponent"),
-        "lambda-list": _Param("floats", default=tuple(DEFAULT_LAMBDA_LIST),
-                              help="decreasing discount list (config only)"),
-        "out": _OUT,
-    },
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A fully resolved, validated run: one command plus its parameters."""
-
-    command: str
-    params: dict[str, Any]
-
-    def __post_init__(self) -> None:
-        schema = _SCHEMAS[self.command]
-        missing = [k for k, p in schema.items()
-                   if p.required and self.params.get(k) is None]
-        if missing:
-            raise ValueError(f"missing required parameter(s): {', '.join(sorted(missing))}")
-        for key, p in schema.items():
-            val = self.params.get(key)
-            if p.positive and val is not None and not val > 0:
-                raise ValueError(f"{key} must be positive, got {val!r}")
-
-    def dump(self) -> str:
-        return json.dumps({"command": self.command, **self.params}, indent=2, sort_keys=True)
 
 
 def _is_number(val: Any) -> bool:
@@ -143,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="hjvisc",
         description="Discounted Hamilton-Jacobi solvers on the torus")
     sub = parser.add_subparsers(dest="command", required=True)
-    for cmd, schema in _SCHEMAS.items():
+    for cmd, (_handler, schema) in _COMMANDS.items():
         p = sub.add_parser(cmd, help=f"{cmd} run")
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--dump-config", action="store_true",
@@ -157,8 +98,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(command: str, ns_map: dict[str, Any]) -> RunConfig:
-    schema = _SCHEMAS[command]
+def _resolve(command: str, ns_map: dict[str, Any]) -> dict[str, Any]:
+    """The run's parameters: config values, then flags, each coerced to its
+    kind; required keys present and positive ones positive and finite."""
+    schema = _COMMANDS[command][1]
     values = {k: p.default for k, p in schema.items()}
     cfg_path = ns_map.get("config")
     if cfg_path is not None:
@@ -181,14 +124,20 @@ def _resolve(command: str, ns_map: dict[str, Any]) -> RunConfig:
     for key, param in schema.items():
         if ns_map.get(key) is not None:
             values[key] = _coerce(key, param, ns_map[key])
-    return RunConfig(command, values)
+    missing = [k for k, p in schema.items() if p.required and values[k] is None]
+    if missing:
+        raise ValueError(f"missing required parameter(s): {', '.join(sorted(missing))}")
+    for key, param in schema.items():
+        if param.positive and values[key] is not None:
+            check_positive(key, values[key])
+    return values
 
 
-def _build_model(cfg: RunConfig, grid: Grid1D) -> HamiltonianModel:
-    pot = cfg.params.get("potential")
+def _build_model(params: dict[str, Any], grid: Grid1D) -> HamiltonianModel:
+    pot = params.get("potential")
     if pot is not None:
         return separable_hamiltonian(pot, grid)
-    name = cfg.params["hamiltonian"]
+    name = params["hamiltonian"]
     if name == "pendulum":
         return pendulum_hamiltonian()
     if name == "flat":
@@ -204,16 +153,16 @@ def field_to_csv(field: ScalarField) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_out(cfg: RunConfig, text: str) -> None:
-    out = cfg.params.get("out")
+def _write_out(params: dict[str, Any], text: str) -> None:
+    out = params.get("out")
     if out is not None:
         Path(out).write_text(text)
 
 
-def _solve_inviscid_field(cfg: RunConfig, model: HamiltonianModel,
+def _solve_inviscid_field(params: dict[str, Any], model: HamiltonianModel,
                           grid: Grid1D) -> ScalarField:
     pendulum = model == pendulum_hamiltonian()
-    method = cfg.params.get("method")
+    method = params.get("method")
     if method is None:
         method = "ode" if pendulum else "lf"
     if method == "ode":
@@ -221,73 +170,64 @@ def _solve_inviscid_field(cfg: RunConfig, model: HamiltonianModel,
             raise ValueError("the branch ODE reference applies to the pendulum only")
         if grid.n % 2 != 0:
             raise ValueError("the ODE reference needs an even grid size")
-        return solve_pendulum_ode(cfg.params["lambda"], grid.n // 2)
+        return solve_pendulum_ode(params["lambda"], grid.n // 2)
     if method == "lf":
         # default: 1.25 * max|dH/dp| = 1.25 * max|p| over |p| <= 3
-        sigma = cfg.params.get("sigma") or 3.75
-        tol = cfg.params.get("tol", 1e-8)
-        u, _report = solve_discounted_lax_friedrichs(model, cfg.params["lambda"],
+        sigma = params.get("sigma") or 3.75
+        tol = params.get("tol", 1e-8)
+        u, _report = solve_discounted_lax_friedrichs(model, params["lambda"],
                                                      grid, sigma, tol=tol)
         return u
     raise ValueError(f"unknown method {method!r} (ode or lf)")
 
 
-def _solve_viscous_checked(cfg: RunConfig, model: HamiltonianModel,
-                           grid: Grid1D) -> tuple[ScalarField, SolveReport]:
-    u, report = solve_viscous(model, cfg.params["lambda"], cfg.params["epsilon"],
-                              grid, cfg.params["tol"])
-    if not report.converged:
-        raise ConvergenceError(
-            f"Newton stalled at residual {report.final_residual_inf:.3e} "
-            f"after {report.iterations} iterations")
-    return u, report
-
-
-def _cmd_solve_viscous(cfg: RunConfig, model: HamiltonianModel, grid: Grid1D) -> int:
-    u, report = _solve_viscous_checked(cfg, model, grid)
-    _write_out(cfg, field_to_csv(u))
+def _cmd_solve_viscous(params: dict[str, Any], model: HamiltonianModel, grid: Grid1D) -> int:
+    u, report = solve_viscous(model, params["lambda"], params["epsilon"], grid, params["tol"])
+    report.require_converged("viscous solve")
+    _write_out(params, field_to_csv(u))
     print(f"iterations={report.iterations} residual_inf={_g17(report.final_residual_inf)} "
           f"continuation_steps={report.continuation_steps}")
     return 0
 
 
-def _cmd_solve_inviscid(cfg: RunConfig, model: HamiltonianModel, grid: Grid1D) -> int:
-    u = _solve_inviscid_field(cfg, model, grid)
-    _write_out(cfg, field_to_csv(u))
+def _cmd_solve_inviscid(params: dict[str, Any], model: HamiltonianModel, grid: Grid1D) -> int:
+    u = _solve_inviscid_field(params, model, grid)
+    _write_out(params, field_to_csv(u))
     print(f"max_u={_g17(float(np.max(u.values)))}")
     return 0
 
 
-def _cmd_adjoint(cfg: RunConfig, model: HamiltonianModel, grid: Grid1D) -> int:
-    u, _report = _solve_viscous_checked(cfg, model, grid)
-    theta = solve_adjoint_stationary(model, u, cfg.params["lambda"], cfg.params["epsilon"],
-                                     cfg.params["x0-index"])
-    _write_out(cfg, field_to_csv(theta))
+def _cmd_adjoint(params: dict[str, Any], model: HamiltonianModel, grid: Grid1D) -> int:
+    u, report = solve_viscous(model, params["lambda"], params["epsilon"], grid, params["tol"])
+    report.require_converged("viscous solve")
+    theta = solve_adjoint_stationary(model, u, params["lambda"], params["epsilon"],
+                                     params["x0-index"])
+    _write_out(params, field_to_csv(theta))
     print(f"mass={_g17(grid.h * float(np.sum(theta.values)))} "
           f"renorm_factor={_g17(theta.renorm_factor)}")
     return 0
 
 
-def _cmd_ergodic(cfg: RunConfig, model: HamiltonianModel, grid: Grid1D) -> int:
-    eps = cfg.params["epsilon"]
-    c_eps = estimate_ergodic_constant(model, eps, cfg.params["lambda-seq"], grid)
-    _write_out(cfg, f"epsilon,c_eps\n{_g17(eps)},{_g17(c_eps)}\n")
+def _cmd_ergodic(params: dict[str, Any], model: HamiltonianModel, grid: Grid1D) -> int:
+    eps = params["epsilon"]
+    c_eps = estimate_ergodic_constant(model, eps, params["lambda-seq"], grid)
+    _write_out(params, f"epsilon,c_eps\n{_g17(eps)},{_g17(c_eps)}\n")
     print(f"c_eps={_g17(c_eps)}")
     return 0
 
 
-def _cmd_supconv(cfg: RunConfig, model: HamiltonianModel, grid: Grid1D) -> int:
-    u = _solve_inviscid_field(cfg, model, grid)
-    u_delta = sup_convolution(u, cfg.params["delta"])
-    defect = subsolution_defect(u_delta, cfg.params["lambda"], model)
-    _write_out(cfg, field_to_csv(u_delta))
+def _cmd_supconv(params: dict[str, Any], model: HamiltonianModel, grid: Grid1D) -> int:
+    u = _solve_inviscid_field(params, model, grid)
+    u_delta = sup_convolution(u, params["delta"])
+    defect = subsolution_defect(u_delta, params["lambda"], model)
+    _write_out(params, field_to_csv(u_delta))
     print(f"subsolution_defect={_g17(defect)}")
     return 0
 
 
-def _cmd_sweep(cfg: RunConfig, model: HamiltonianModel, grid: Grid1D) -> int:
-    result = run_sweep(model, cfg.params["alpha"], cfg.params["lambda-list"], grid.n)
-    _write_out(cfg, sweep_to_csv(result))
+def _cmd_sweep(params: dict[str, Any], model: HamiltonianModel, grid: Grid1D) -> int:
+    result = run_sweep(model, params["alpha"], params["lambda-list"], grid.n)
+    _write_out(params, sweep_to_csv(result))
     print(f"fitted_slope={_g17(result.fitted_slope)} r_squared={_g17(result.r_squared)} "
           f"records={len(result.records)} failed={len(result.failed_lambdas)}")
     if result.failed_lambdas:
@@ -297,13 +237,42 @@ def _cmd_sweep(cfg: RunConfig, model: HamiltonianModel, grid: Grid1D) -> int:
     return 0
 
 
-_DISPATCH = {
-    "solve-viscous": _cmd_solve_viscous,
-    "solve-inviscid": _cmd_solve_inviscid,
-    "adjoint": _cmd_adjoint,
-    "ergodic": _cmd_ergodic,
-    "supconv": _cmd_supconv,
-    "sweep": _cmd_sweep,
+# each command's handler and parameters, in --help order
+_COMMANDS: dict[str, tuple[Callable[..., int], dict[str, _Param]]] = {
+    "solve-viscous": (_cmd_solve_viscous, {
+        **_MODEL, "n": _N1024, "lambda": _LAMBDA, "epsilon": _EPS, "tol": _TOL, "out": _OUT,
+    }),
+    "solve-inviscid": (_cmd_solve_inviscid, {
+        **_MODEL, "n": _N1024, "lambda": _LAMBDA,
+        "method": _Param("str", help="ode (pendulum only) or lf; default by model"),
+        "sigma": _SIGMA,
+        "tol": _Param("float", default=1e-8, positive=True,
+                      help="Newton stops at omega*|F|_inf <= tol*lambda, omega = h/(sigma+lambda*h)"),
+        "out": _OUT,
+    }),
+    "adjoint": (_cmd_adjoint, {
+        **_MODEL, "n": _N2048, "lambda": _LAMBDA, "epsilon": _EPS,
+        "x0-index": _Param("int", default=0, help="source node index"),
+        "tol": _TOL, "out": _OUT,
+    }),
+    "ergodic": (_cmd_ergodic, {
+        **_MODEL, "n": _N1024, "epsilon": _EPS,
+        "lambda-seq": _Param("floats", default=(1e-2, 5e-3, 2.5e-3),
+                             help="decreasing discount sequence (config only)"),
+        "out": _OUT,
+    }),
+    "supconv": (_cmd_supconv, {
+        **_MODEL, "n": _N2048, "lambda": _LAMBDA,
+        "delta": _Param("float", required=True, positive=True, help="sup-convolution parameter"),
+        "sigma": _SIGMA, "out": _OUT,
+    }),
+    "sweep": (_cmd_sweep, {
+        **_MODEL, "n": _N2048,
+        "alpha": _Param("float", required=True, positive=True, help="coupling exponent"),
+        "lambda-list": _Param("floats", default=tuple(DEFAULT_LAMBDA_LIST),
+                              help="decreasing discount list (config only)"),
+        "out": _OUT,
+    }),
 }
 
 
@@ -318,12 +287,12 @@ def main(argv: list[str] | None = None) -> int:
     ns_map = vars(ns)
     command = ns_map["command"]
     try:
-        cfg = _resolve(command, ns_map)
+        params = _resolve(command, ns_map)
         if ns_map.get("dump_config"):
-            print(cfg.dump())
+            print(json.dumps({"command": command, **params}, indent=2, sort_keys=True))
             return 0
-        grid = Grid1D(cfg.params["n"])
-        return _DISPATCH[command](cfg, _build_model(cfg, grid), grid)
+        grid = Grid1D(params["n"])
+        return _COMMANDS[command][0](params, _build_model(params, grid), grid)
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

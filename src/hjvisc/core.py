@@ -11,6 +11,11 @@ Derivatives are the standard second-order periodic stencils
 with indices wrapping mod n. The one model class is H(x, p) = p^2/2 + V(x):
 its drift dH/dp is the momentum itself, and its critical value is
 c(H) = max V.
+
+Every entry point checks its input with the one copy of each rule kept here
+(ValueError on failure, bools rejected): check_positive, check_index,
+check_lambdas and check_unit_mass. SolveReport.require_converged turns an
+unconverged report into a ConvergenceError.
 """
 
 from __future__ import annotations
@@ -28,6 +33,39 @@ class ConvergenceError(RuntimeError):
     """An iterative solve failed or a solver-side guard rejected the state."""
 
 
+def check_positive(name: str, value) -> None:
+    """Reject anything but a positive finite number; a bool is not a number here."""
+    if isinstance(value, bool) or not (value > 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_index(name: str, value, lo: int, hi: float = math.inf) -> None:
+    """Reject anything but an integer in [lo, hi); a bool is not an integer here."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not lo <= value < hi):
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}), got {value!r}")
+
+
+def check_lambdas(values, min_len: int) -> list[float]:
+    """The floats of a strictly decreasing list of at least min_len positive lambdas."""
+    values = list(values)
+    if len(values) < min_len:
+        raise ValueError(f"need at least {min_len} lambda value(s), got {len(values)}")
+    for v in values:
+        check_positive("lambda", v)
+    if not all(a > b for a, b in zip(values, values[1:])):
+        raise ValueError("lambda values must be strictly decreasing")
+    return [float(v) for v in values]
+
+
+def check_unit_mass(what: str, mass: float, lowest: float) -> None:
+    """A probability: mass within 1e-8 of 1 and no entry below -1e-12 (NaN fails both)."""
+    if not abs(mass - 1.0) <= 1e-8:
+        raise ValueError(f"{what} mass {mass!r} deviates from 1 beyond 1e-8")
+    if not lowest >= -1e-12:
+        raise ValueError(f"{what} entry {lowest!r} below the -1e-12 floor")
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform periodic grid of n nodes on the 2*pi torus.
@@ -40,8 +78,7 @@ class Grid1D:
     length: ClassVar[float] = TWO_PI
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or self.n < 8:
-            raise ValueError(f"grid needs an integer n >= 8, got {self.n!r}")
+        check_index("grid size n", self.n, 8)
 
     @property
     def h(self) -> float:
@@ -85,12 +122,8 @@ class DensityField(ScalarField):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        mass = self.grid.h * float(self.values.sum())
-        if abs(mass - 1.0) > 1e-8:
-            raise ValueError(f"density mass {mass!r} deviates from 1 beyond 1e-8")
-        lo = float(self.values.min())
-        if lo < -1e-12:
-            raise ValueError(f"density entry {lo!r} below the -1e-12 floor")
+        check_unit_mass("density", self.grid.h * float(self.values.sum()),
+                        float(self.values.min()))
 
 
 @dataclass(frozen=True)
@@ -102,11 +135,19 @@ class SolveReport:
     converged: bool
     continuation_steps: int = 0
 
+    def require_converged(self, what: str) -> None:
+        """Raise ConvergenceError naming ``what`` unless the solve converged."""
+        if not self.converged:
+            raise ConvergenceError(
+                f"{what} did not converge: residual {self.final_residual_inf:.3e} "
+                f"after {self.iterations} Newton iterations")
+
 
 @dataclass(frozen=True)
 class HamiltonianModel:
     """H(x, p) = p^2/2 + V(x) + level, V the vectorized ``potential``; dH/dp = p,
     L(x, v) = v^2/2 - V(x) - level and c(H) = max V + level follow from V.
+    H(x, 0) must be finite at 16 probe points x in [0, 2*pi].
 
     ``level`` only fixes the floating-point order: the pendulum is V = cos x
     at level -1, so H is (p^2/2 + cos x) - 1 as in its closed form, which
@@ -117,12 +158,12 @@ class HamiltonianModel:
     potential: Callable[[np.ndarray], np.ndarray]
     level: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not np.all(np.isfinite(self.h(np.linspace(0.0, TWO_PI, 16), 0.0))):
+            raise ValueError("model H(x, 0) is not finite on the 16-point probe")
+
     def h(self, x, p):
         return 0.5 * np.asarray(p) ** 2 + self.potential(np.asarray(x, dtype=float)) + self.level
-
-    def dhdp(self, x, p):
-        """dH/dp = p, broadcast against x."""
-        return np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(p, dtype=float))[1].copy()
 
     def lagrangian(self, x, v):
         """The Legendre dual sup_p(v*p - H(x, p))."""
@@ -151,28 +192,26 @@ def separable_hamiltonian(
 
     The potential may be a vectorized callable or an array of n samples on
     ``grid`` (samples are evaluated off-node by periodic linear
-    interpolation, exact at the nodes). Non-finite samples are rejected.
+    interpolation, exact at the nodes). Non-finite samples are rejected, and
+    every model probes H(x, 0) for finiteness when it is built.
     Solvers tell models apart by equality, never by how they were built:
     only a model equal to pendulum_hamiltonian() gets the branch-ODE
     reference, so separable_hamiltonian(np.cos), which is V = cos x at
     level 0, is solved by Lax-Friedrichs like any other potential.
     """
     if callable(potential):
-        v_fn = potential
-        if not np.all(np.isfinite(v_fn(np.linspace(0.0, TWO_PI, 16)))):
-            raise ValueError("potential callable produced non-finite values")
-    else:
-        samples = np.asarray(potential, dtype=float)
-        if grid is None:
-            raise ValueError("sampled potential needs the grid it lives on")
-        if samples.shape != (grid.n,):
-            raise ValueError(f"potential has {samples.shape} samples, grid expects {grid.n}")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("potential samples contain non-finite values")
-        xs, vs = np.append(grid.x, grid.length), np.append(samples, samples[0])
+        return HamiltonianModel(potential)
+    samples = np.asarray(potential, dtype=float)
+    if grid is None:
+        raise ValueError("sampled potential needs the grid it lives on")
+    if samples.shape != (grid.n,):
+        raise ValueError(f"potential has {samples.shape} samples, grid expects {grid.n}")
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("potential samples contain non-finite values")
+    xs, vs = np.append(grid.x, grid.length), np.append(samples, samples[0])
 
-        def v_fn(x):
-            return np.interp(np.mod(x, grid.length), xs, vs)
+    def v_fn(x):
+        return np.interp(np.mod(x, grid.length), xs, vs)
 
     return HamiltonianModel(v_fn)
 

@@ -33,7 +33,8 @@ from typing import Sequence
 import numpy as np
 
 from .adjoint import drift_field
-from .core import ConvergenceError, Grid1D, HamiltonianModel, pendulum_hamiltonian
+from .core import (ConvergenceError, Grid1D, HamiltonianModel, check_lambdas,
+                   check_positive, pendulum_hamiltonian)
 from .inviscid import solve_discounted_lax_friedrichs, solve_pendulum_ode
 from .viscous import solve_viscous
 
@@ -57,12 +58,11 @@ class SweepRecord:
     neg_gap: float = 0.0
 
     def __post_init__(self) -> None:
-        fields = (self.lam, self.epsilon, self.sup_diff, self.diff_at_zero,
-                  self.c_delta_ratio, self.neg_gap)
-        if not all(math.isfinite(v) for v in fields):
+        check_positive("lambda", self.lam)
+        check_positive("epsilon", self.epsilon)
+        gaps = (self.sup_diff, self.diff_at_zero, self.c_delta_ratio, self.neg_gap)
+        if not all(math.isfinite(v) for v in gaps):
             raise ValueError("sweep record contains non-finite entries")
-        if not (self.lam > 0.0 and self.epsilon > 0.0):
-            raise ValueError("lambda and epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -114,10 +114,7 @@ def _sweep_point(model: HamiltonianModel, lam: float, alpha: float,
                  grid: Grid1D) -> SweepRecord:
     eps = lam ** (1.0 + alpha)
     u_eps, report = solve_viscous(model, lam, eps, grid)
-    if not report.converged:
-        raise ConvergenceError(
-            f"viscous solve at lambda = {lam:.6g} stalled "
-            f"(residual {report.final_residual_inf:.3e})")
+    report.require_converged(f"viscous solve at lambda = {lam:.6g}, eps = {eps:.6g}")
     if model == pendulum_hamiltonian():
         u_inv = solve_pendulum_ode(lam, grid.n // 2)
     else:
@@ -148,13 +145,9 @@ def run_sweep(model: HamiltonianModel, alpha: float,
     the records and reported in failed_lambdas. All-zero gaps (flat model)
     fit degenerately to slope = intercept = r_squared = 0.
     """
-    lams = [float(v) for v in lam_list]
-    if len(lams) == 0:
-        raise ValueError("lambda list is empty")
-    if not all(0.0 < v < 1.0 for v in lams):
-        raise ValueError("each lambda must lie in (0, 1)")
-    if not all(a > b for a, b in zip(lams, lams[1:])):
-        raise ValueError("lambda list must be strictly decreasing")
+    lams = check_lambdas(lam_list, 1)
+    if not lams[0] < 1.0:
+        raise ValueError(f"each lambda must lie in (0, 1), got {lams[0]!r}")
     if not (0.0 < alpha < 1.0):
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
     if model == pendulum_hamiltonian() and n % 2 != 0:

@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from .core import ConvergenceError, Grid1D, HamiltonianModel, ScalarField, SolveReport
+from .core import (ConvergenceError, Grid1D, HamiltonianModel, ScalarField, SolveReport,
+                   check_index, check_positive)
 from .viscous import _half_node_drift, solve_viscous
 
 RADICAND_REJECT = -1e-8
@@ -44,10 +45,8 @@ def solve_pendulum_ode(lam: float, n_half: int) -> ScalarField:
     grid with n = 2*n_half nodes (the integration nodes j*pi/n_half coincide
     with torus nodes j*2*pi/n).
     """
-    if not (lam > 0.0 and math.isfinite(lam)):
-        raise ValueError(f"lambda must be positive, got {lam!r}")
-    if not isinstance(n_half, (int, np.integer)) or n_half < 4:
-        raise ValueError(f"n_half must be an integer >= 4, got {n_half!r}")
+    check_positive("lambda", lam)
+    check_index("n_half", n_half, 4)
 
     h = math.pi / n_half
 
@@ -90,20 +89,14 @@ def solve_discounted_lax_friedrichs(model: HamiltonianModel, lam: float, grid: G
     at the returned u, or a Newton stall raises ConvergenceError advising a
     larger sigma.
     """
-    if not (lam > 0.0 and np.isfinite(lam)):
-        raise ValueError(f"lambda must be positive, got {lam!r}")
-    if not (sigma > 0.0 and np.isfinite(sigma)):
-        raise ValueError(f"sigma must be positive, got {sigma!r}")
-    if not (tol > 0.0 and np.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-
+    check_positive("lambda", lam)
+    check_positive("sigma", sigma)
+    check_positive("tol", tol)
     h = grid.h
     omega = h / (sigma + lam * h)
     u, report = solve_viscous(model, lam, 0.5 * sigma * h, grid, tol * lam / omega)
-    if not report.converged:
-        raise ConvergenceError(
-            "Newton solve of the Lax-Friedrichs scheme stalled at residual "
-            f"{report.final_residual_inf:.3e}; retry with a larger sigma")
+    report.require_converged(
+        f"the Lax-Friedrichs scheme at sigma = {sigma:.3e} (retry with a larger sigma)")
     speed = float(np.max(np.abs(_half_node_drift(grid, u.values))))
     if speed > sigma:
         raise ConvergenceError(

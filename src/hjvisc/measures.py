@@ -27,8 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from .adjoint import drift_field
-from .core import (ConvergenceError, DensityField, Grid1D, HamiltonianModel,
-                   ScalarField, discrete_laplacian)
+from .core import (DensityField, Grid1D, HamiltonianModel, ScalarField,
+                   check_lambdas, check_positive, check_unit_mass, discrete_laplacian)
 from .viscous import solve_viscous
 
 
@@ -53,11 +53,7 @@ class DiscreteMeasure:
             raise ValueError("measure needs matching nonempty 1-d position/velocity/weight arrays")
         if not (np.all(np.isfinite(pos)) and np.all(np.isfinite(vel)) and np.all(np.isfinite(wts))):
             raise ValueError("measure data contains non-finite entries")
-        if float(wts.min()) < -1e-12:
-            raise ValueError(f"measure weight {wts.min()!r} below the -1e-12 floor")
-        total = float(wts.sum())
-        if abs(total - 1.0) > 1e-8:
-            raise ValueError(f"measure weights sum to {total!r}, not 1 within 1e-8")
+        check_unit_mass("measure", float(wts.sum()), float(wts.min()))
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "velocities", vel)
         object.__setattr__(self, "weights", wts)
@@ -89,23 +85,13 @@ def estimate_ergodic_constant(model: HamiltonianModel, eps: float,
     critical value on the grid. Each inner solve runs to the residual
     tolerance tol; a non-converged one aborts the estimate.
     """
-    lams = np.asarray(list(lam_seq), dtype=float)
-    if lams.size < 3:
-        raise ValueError("need at least 3 lambda values to extrapolate")
-    if not np.all(lams > 0.0):
-        raise ValueError("lambda values must be positive")
-    if not np.all(np.diff(lams) < 0.0):
-        raise ValueError("lambda sequence must be strictly decreasing")
-    if not (eps > 0.0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive, got {eps!r}")
+    lams = np.asarray(check_lambdas(lam_seq, 3))
+    check_positive("eps", eps)
 
     vals = np.empty(lams.size)
     for i, lam in enumerate(lams):
         u, report = solve_viscous(model, float(lam), eps, grid, tol)
-        if not report.converged:
-            raise ConvergenceError(
-                f"viscous solve at lambda = {lam:.6g}, eps = {eps:.6g} did not converge "
-                f"(residual {report.final_residual_inf:.3e})")
+        report.require_converged(f"viscous solve at lambda = {lam:.6g}, eps = {eps:.6g}")
         vals[i] = lam * u.values[0]
     # (0 - limit) - c(H) keeps a zero limit at +0 for the flat model
     return (0.0 - _extrapolate_to_zero(lams, vals)) - model.critical_value(grid)

@@ -20,15 +20,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import HamiltonianModel, ScalarField, central_gradient
+from .core import HamiltonianModel, ScalarField, central_gradient, check_positive
 
 _BLOCK = 512
 
 
 def sup_convolution(u: ScalarField, delta: float) -> ScalarField:
     """Brute-force periodic sup-convolution with quadratic penalty 1/(2*delta)."""
-    if not (delta > 0.0 and np.isfinite(delta)):
-        raise ValueError(f"delta must be positive, got {delta!r}")
+    check_positive("delta", delta)
     grid = u.grid
     x = grid.x
     vals = u.values
@@ -50,8 +49,7 @@ def subsolution_defect(u_delta: ScalarField, lam: float,
     sup-convolution of a discounted solution the defect is bounded by
     C*delta plus an O(h) stencil contribution at the semiconvex kinks.
     """
-    if not (lam > 0.0 and np.isfinite(lam)):
-        raise ValueError(f"lambda must be positive, got {lam!r}")
+    check_positive("lambda", lam)
     du = central_gradient(u_delta).values
     resid = lam * u_delta.values + np.asarray(model.h(u_delta.grid.x, du), dtype=float)
     return float(max(np.max(resid), 0.0))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Grid1D, HamiltonianModel, ScalarField, SolveReport
+from .core import Grid1D, HamiltonianModel, ScalarField, SolveReport, check_positive
 from .tridiag import CyclicTridiagonalMatrix, solve_cyclic_tridiagonal
 
 DAMPING = 0.5
@@ -102,11 +102,13 @@ def _newton(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
     """One damped Newton run at fixed eps from u0. Returns (u, iters, residual, converged).
 
     A run whose residual meets the tolerance converges only if the Jacobian
-    at its final iterate is expansion free.
+    at its final iterate is expansion free. A non-finite start raises ValueError.
     """
     u = u0.copy()
     res = _residual_arr(model, grid, u, lam, eps)
     rnorm = float(np.max(np.abs(res)))
+    if not np.isfinite(rnorm):
+        raise ValueError(f"residual at the starting field is {rnorm!r}: the model is not finite")
     it = 0
     while rnorm > tol:
         if it == MAX_NEWTON_ITERS:
@@ -153,14 +155,12 @@ def solve_viscous(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
     per run), and a residual that meets the tolerance at a field whose
     Jacobian has an expansion row, where the non-monotone averaged scheme
     cannot be trusted. Only a linear solve that the tridiagonal solver
-    rejects raises, as ConvergenceError.
+    rejects raises, as ConvergenceError; a model that is not finite on the
+    grid raises ValueError.
     """
-    if not (lam > 0.0 and np.isfinite(lam)):
-        raise ValueError(f"lambda must be positive, got {lam!r}")
-    if not (eps > 0.0 and np.isfinite(eps)):
-        raise ValueError(f"eps must be positive, got {eps!r}")
-    if not (tol > 0.0 and np.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    check_positive("lambda", lam)
+    check_positive("eps", eps)
+    check_positive("tol", tol)
     zero = np.zeros(grid.n)
     total = 0
     for steps, level in enumerate([eps] + _continuation_chain(eps)):

@@ -103,7 +103,7 @@ def test_criterion_05_adjoint_identities(pendulum, std_run):
 
     # (i) Lagrangian action along the feedback drift pays out lambda*u(x0)
     du = hv.central_gradient(u).values
-    lag = pendulum.lagrangian(grid.x, pendulum.dhdp(grid.x, du))
+    lag = pendulum.lagrangian(grid.x, du)
     for theta, x0 in ((std_run["theta0"], 0),
                       (std_run["theta_half"], grid.n // 2)):
         lhs = grid.h * float(np.sum(lag * theta.values))

@@ -62,7 +62,6 @@ def test_pendulum_model_point_values():
     assert m.h(0.0, 0.0) == 0.0
     assert m.h(np.pi, 0.0) == -2.0
     assert m.lagrangian(0.0, 0.0) == 0.0
-    assert m.dhdp(1.3, 0.7) == 0.7
     # running cost L(x, v) = v^2/2 - cos x + 1 is nonnegative
     x = np.linspace(0.0, hv.TWO_PI, 40)
     v = np.linspace(-3.0, 3.0, 40)
@@ -95,7 +94,7 @@ def test_legendre_duality_closed_form_models():
     for m in (hv.pendulum_hamiltonian(), hv.separable_hamiltonian(np.sin),
               hv.flat_hamiltonian()):
         for p in np.linspace(-3.0, 3.0, 25):
-            v = m.dhdp(g.x, p)
+            v = p
             defect = m.lagrangian(g.x, v) + m.h(g.x, p) - p * v
             assert np.max(np.abs(defect)) <= 1e-10
 
@@ -154,3 +153,42 @@ def test_gradient_sees_the_periodic_seam():
 def test_every_exported_name_resolves():
     missing = [name for name in hv.__all__ if not hasattr(hv, name)]
     assert not missing, missing
+
+
+_GRID = hv.Grid1D(64)
+_MODEL = hv.pendulum_hamiltonian()
+_U = hv.solve_viscous(_MODEL, 0.1, 0.1, _GRID)[0]
+_DRIFT = hv.drift_field(_MODEL, _U)
+_LAMS = [0.1, 0.05, 0.02]
+
+# (entry point, parameter) -> a call with the bad value in that slot
+_POSITIVE_PARAMETERS = {
+    "solve_viscous lambda": lambda v: hv.solve_viscous(_MODEL, v, 0.1, _GRID),
+    "solve_viscous eps": lambda v: hv.solve_viscous(_MODEL, 0.1, v, _GRID),
+    "solve_viscous tol": lambda v: hv.solve_viscous(_MODEL, 0.1, 0.1, _GRID, tol=v),
+    "solve_pendulum_ode lambda": lambda v: hv.solve_pendulum_ode(v, 32),
+    "lax_friedrichs lambda": lambda v: hv.solve_discounted_lax_friedrichs(_MODEL, v, _GRID, 3.75),
+    "lax_friedrichs sigma": lambda v: hv.solve_discounted_lax_friedrichs(_MODEL, 0.1, _GRID, v),
+    "lax_friedrichs tol": lambda v: hv.solve_discounted_lax_friedrichs(
+        _MODEL, 0.1, _GRID, 3.75, tol=v),
+    "solve_adjoint_stationary lambda": lambda v: hv.solve_adjoint_stationary(_MODEL, _U, v, 0.1),
+    "solve_adjoint_stationary eps": lambda v: hv.solve_adjoint_stationary(_MODEL, _U, 0.1, v),
+    "evolve_fokker_planck eps": lambda v: hv.evolve_fokker_planck(_DRIFT, v, 0, 1.0),
+    "evolve_fokker_planck t_final": lambda v: hv.evolve_fokker_planck(_DRIFT, 0.5, 0, v),
+    "evolve_fokker_planck dt": lambda v: hv.evolve_fokker_planck(_DRIFT, 0.5, 0, 1.0, v),
+    "stationary_from_transient lambda": lambda v: hv.stationary_from_transient(
+        hv.evolve_fokker_planck(_DRIFT, 0.5, 0, 1.0), v),
+    "estimate_ergodic_constant eps": lambda v: hv.estimate_ergodic_constant(
+        _MODEL, v, _LAMS, _GRID),
+    "estimate_ergodic_constant lambda entry": lambda v: hv.estimate_ergodic_constant(
+        _MODEL, 0.1, [0.1, 0.05, v], _GRID),
+    "sup_convolution delta": lambda v: hv.sup_convolution(_U, v),
+    "subsolution_defect lambda": lambda v: hv.subsolution_defect(_U, v, _MODEL),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_POSITIVE_PARAMETERS))
+def test_entry_points_reject_non_positive_or_non_finite(case):
+    for bad in (np.inf, np.nan, 0.0, -1.0, True):
+        with pytest.raises(ValueError, match="positive and finite"):
+            _POSITIVE_PARAMETERS[case](bad)

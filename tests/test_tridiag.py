@@ -122,6 +122,16 @@ def test_no_module_checks_with_assert_statements():
     assert users == []
 
 
+def test_positivity_rule_lives_in_core():
+    # core.check_positive is the one "positive and finite" rule; no module keeps a copy
+    src = Path(hv.__file__).parent
+    users = [p.name for p in sorted(src.glob("*.py")) if p.name != "core.py"
+             and any(isinstance(node, ast.Constant) and isinstance(node.value, str)
+                     and "must be positive" in node.value
+                     for node in ast.walk(ast.parse(p.read_text())))]
+    assert users == []
+
+
 def test_exact_zero_pivot_raises_convergence_error():
     d = np.array([0.0, 2.0, 2.0, 2.0])
     dl = np.array([0.0, 1.0, 1.0])

@@ -203,3 +203,14 @@ def test_options_and_argument_validation(pendulum):
     for lam, eps in ((np.inf, 0.1), (np.nan, 0.1), (0.1, np.inf), (0.1, np.nan)):
         with pytest.raises(ValueError):
             hv.solve_viscous(pendulum, lam, eps, g)
+
+
+def test_non_finite_model_raises_instead_of_converging():
+    # a NaN residual at u = 0 once skipped the Newton loop and read as converged
+    def spiked(x):
+        return np.where((x > 3.0) & (x < 3.1), np.nan, np.cos(x))
+
+    for build in (lambda: hv.HamiltonianModel(np.cos, level=float("nan")),
+                  lambda: hv.HamiltonianModel(spiked)):
+        with pytest.raises(ValueError):
+            hv.solve_viscous(build(), 0.1, 0.05, hv.Grid1D(64))
