@@ -48,7 +48,6 @@ _MODEL = {
 }
 _LAMBDA = _Param("float", required=True, positive=True, help="discount factor")
 _EPS = _Param("float", required=True, positive=True, help="viscosity")
-_TOL = _Param("float", default=1e-10, positive=True, help="Newton residual tolerance")
 _SIGMA = _Param("float", positive=True, help="Lax-Friedrichs speed bound")
 _OUT = _Param("str", help="output CSV path")
 _N1024 = _Param("int", default=1024, positive=True, help="grid size")
@@ -174,15 +173,13 @@ def _solve_inviscid_field(params: dict[str, Any], model: HamiltonianModel,
     if method == "lf":
         # default: 1.25 * max|dH/dp| = 1.25 * max|p| over |p| <= 3
         sigma = params.get("sigma") or 3.75
-        tol = params.get("tol", 1e-8)
-        u, _report = solve_discounted_lax_friedrichs(model, params["lambda"],
-                                                     grid, sigma, tol=tol)
+        u, _report = solve_discounted_lax_friedrichs(model, params["lambda"], grid, sigma)
         return u
     raise ValueError(f"unknown method {method!r} (ode or lf)")
 
 
 def _cmd_solve_viscous(params: dict[str, Any], model: HamiltonianModel, grid: Grid1D) -> int:
-    u, report = solve_viscous(model, params["lambda"], params["epsilon"], grid, params["tol"])
+    u, report = solve_viscous(model, params["lambda"], params["epsilon"], grid)
     report.require_converged("viscous solve")
     _write_out(params, field_to_csv(u))
     print(f"iterations={report.iterations} residual_inf={_g17(report.final_residual_inf)} "
@@ -198,7 +195,7 @@ def _cmd_solve_inviscid(params: dict[str, Any], model: HamiltonianModel, grid: G
 
 
 def _cmd_adjoint(params: dict[str, Any], model: HamiltonianModel, grid: Grid1D) -> int:
-    u, report = solve_viscous(model, params["lambda"], params["epsilon"], grid, params["tol"])
+    u, report = solve_viscous(model, params["lambda"], params["epsilon"], grid)
     report.require_converged("viscous solve")
     theta = solve_adjoint_stationary(model, u, params["lambda"], params["epsilon"],
                                      params["x0-index"])
@@ -240,20 +237,17 @@ def _cmd_sweep(params: dict[str, Any], model: HamiltonianModel, grid: Grid1D) ->
 # each command's handler and parameters, in --help order
 _COMMANDS: dict[str, tuple[Callable[..., int], dict[str, _Param]]] = {
     "solve-viscous": (_cmd_solve_viscous, {
-        **_MODEL, "n": _N1024, "lambda": _LAMBDA, "epsilon": _EPS, "tol": _TOL, "out": _OUT,
+        **_MODEL, "n": _N1024, "lambda": _LAMBDA, "epsilon": _EPS, "out": _OUT,
     }),
     "solve-inviscid": (_cmd_solve_inviscid, {
         **_MODEL, "n": _N1024, "lambda": _LAMBDA,
         "method": _Param("str", help="ode (pendulum only) or lf; default by model"),
-        "sigma": _SIGMA,
-        "tol": _Param("float", default=1e-8, positive=True,
-                      help="Newton stops at omega*|F|_inf <= tol*lambda, omega = h/(sigma+lambda*h)"),
-        "out": _OUT,
+        "sigma": _SIGMA, "out": _OUT,
     }),
     "adjoint": (_cmd_adjoint, {
         **_MODEL, "n": _N2048, "lambda": _LAMBDA, "epsilon": _EPS,
         "x0-index": _Param("int", default=0, help="source node index"),
-        "tol": _TOL, "out": _OUT,
+        "out": _OUT,
     }),
     "ergodic": (_cmd_ergodic, {
         **_MODEL, "n": _N1024, "epsilon": _EPS,

@@ -13,9 +13,9 @@ its drift dH/dp is the momentum itself, and its critical value is
 c(H) = max V.
 
 Every entry point checks its input with the one copy of each rule kept here
-(ValueError on failure, bools rejected): check_positive, check_index,
-check_lambdas and check_unit_mass. SolveReport.require_converged turns an
-unconverged report into a ConvergenceError.
+(ValueError on failure, bools rejected): check_positive, check_nonnegative,
+check_index, check_lambdas and check_unit_mass. SolveReport.require_converged
+turns an unconverged report into a ConvergenceError.
 """
 
 from __future__ import annotations
@@ -37,6 +37,12 @@ def check_positive(name: str, value) -> None:
     """Reject anything but a positive finite number; a bool is not a number here."""
     if isinstance(value, bool) or not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_nonnegative(name: str, value) -> None:
+    """Reject anything but a nonnegative finite number; a bool is not a number here."""
+    if isinstance(value, bool) or not (value >= 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be nonnegative and finite, got {value!r}")
 
 
 def check_index(name: str, value, lo: int, hi: float = math.inf) -> None:

@@ -74,27 +74,21 @@ def solve_pendulum_ode(lam: float, n_half: int) -> ScalarField:
 
 
 def solve_discounted_lax_friedrichs(model: HamiltonianModel, lam: float, grid: Grid1D,
-                                    sigma: float, tol: float = 1e-8
-                                    ) -> tuple[ScalarField, SolveReport]:
+                                    sigma: float) -> tuple[ScalarField, SolveReport]:
     """Solve the monotone Lax-Friedrichs scheme
 
         lambda*u_j + [H(x_{j+1/2}, D+u_j) + H(x_{j-1/2}, D-u_j)]/2 - (sigma/2)(D+u_j - D-u_j) = 0,
 
     which is the viscous equation at eps = sigma*h/2, by the damped Newton of
-    solve_viscous; report.iterations counts Newton iterations. The residual
-    tolerance tol*lambda/omega, omega = h/(sigma + lambda*h), restates the
-    stopping rule omega*|F|_inf <= tol*lambda of the classical relaxed update
-    u <- u - omega*F(u). The scheme is monotone only if
+    solve_viscous and to its stop; report.iterations counts Newton
+    iterations. The scheme is monotone only if
     sigma >= max|D+u_j|, the largest |dH/dp|; a solution violating that, checked
     at the returned u, or a Newton stall raises ConvergenceError advising a
     larger sigma.
     """
     check_positive("lambda", lam)
     check_positive("sigma", sigma)
-    check_positive("tol", tol)
-    h = grid.h
-    omega = h / (sigma + lam * h)
-    u, report = solve_viscous(model, lam, 0.5 * sigma * h, grid, tol * lam / omega)
+    u, report = solve_viscous(model, lam, 0.5 * sigma * grid.h, grid)
     report.require_converged(
         f"the Lax-Friedrichs scheme at sigma = {sigma:.3e} (retry with a larger sigma)")
     speed = float(np.max(np.abs(_half_node_drift(grid, u.values))))

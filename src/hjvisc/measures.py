@@ -20,15 +20,14 @@ measure alone, up to O(h^2).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .adjoint import drift_field
-from .core import (DensityField, Grid1D, HamiltonianModel, ScalarField,
-                   check_lambdas, check_positive, check_unit_mass, discrete_laplacian)
+from .core import (DensityField, Grid1D, HamiltonianModel, ScalarField, check_lambdas,
+                   check_nonnegative, check_positive, check_unit_mass, discrete_laplacian)
 from .viscous import solve_viscous
 
 
@@ -75,22 +74,21 @@ def _extrapolate_to_zero(lams: np.ndarray, vals: np.ndarray) -> float:
 
 
 def estimate_ergodic_constant(model: HamiltonianModel, eps: float,
-                              lam_seq: Sequence[float], grid: Grid1D,
-                              tol: float = 1e-10) -> float:
+                              lam_seq: Sequence[float], grid: Grid1D) -> float:
     """c(eps) from the small-lambda limit of the discounted solutions.
 
     Solves the viscous equation for each lambda in the decreasing sequence,
     extrapolates lambda * u(x0) to lambda = 0 (x0 fixed at node 0 for
     reproducibility) and returns c(eps) = -limit - c(H), c(H) the model's
-    critical value on the grid. Each inner solve runs to the residual
-    tolerance tol; a non-converged one aborts the estimate.
+    critical value on the grid. A non-converged inner solve aborts the
+    estimate.
     """
     lams = np.asarray(check_lambdas(lam_seq, 3))
     check_positive("eps", eps)
 
     vals = np.empty(lams.size)
     for i, lam in enumerate(lams):
-        u, report = solve_viscous(model, float(lam), eps, grid, tol)
+        u, report = solve_viscous(model, float(lam), eps, grid)
         report.require_converged(f"viscous solve at lambda = {lam:.6g}, eps = {eps:.6g}")
         vals[i] = lam * u.values[0]
     # (0 - limit) - c(H) keeps a zero limit at +0 for the flat model
@@ -131,8 +129,7 @@ def closedness_defect(mu: DiscreteMeasure, eps: float,
     to the O(eps*h^2) of the averaged Lphi: an O(lambda) + O(h^2) gauge that
     shrinks proportionally to lambda, so the measure is eps-closed in the limit.
     """
-    if not (eps >= 0.0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be nonnegative and finite, got {eps!r}")
+    check_nonnegative("eps", eps)
     grid = test_fn.grid
     idx = np.rint(mu.positions / grid.h - 0.5).astype(int) % grid.n
     half_nodes = grid.x + 0.5 * grid.h

@@ -10,12 +10,18 @@ one-sided gradients keeps the scheme second order and, unlike H(x_j, Du_j)
 at the central gradient, lets the Hamiltonian see the node-alternating mode
 (-1)^j. Each evaluation needs one H call on the n half-node gradients; the
 Jacobian needs none (its drift dH/dp = p is the half-node gradient) and is
-cyclic tridiagonal, so every Newton step is one banded solve. The averaged
-scheme is not monotone: a Newton run whose residual meets the tolerance
-still counts as unconverged when its final Jacobian has an
-expansion row (see _expansion_free). A cold start that fails is always
-restarted from zero along a factor-2 descent in eps from 0.5, warm-starting
-each level with the previous solution.
+cyclic tridiagonal, so every Newton step is one banded solve.
+
+Every Newton run stops by one rule: the residual inf-norm is at most
+max(TOL, floor(u)), floor(u) = 4*eps/h^2 * ulp(max|u|) at the current
+iterate, the double-precision floor of eps*Lu below which no field of that
+size can go. Along eps = lambda^(1+alpha) -> 0, eps/h^2 and |u| grow until
+floor(u) passes TOL (Deuflhard, "Newton Methods for Nonlinear Problems",
+2004). The averaged scheme is not monotone: a Newton run that meets the stop
+still counts as unconverged when its final Jacobian has an expansion row
+(see _expansion_free). A cold start that fails is always restarted from zero
+along a factor-2 descent in eps from 0.5, warm-starting each level with the
+previous solution.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from .tridiag import CyclicTridiagonalMatrix, solve_cyclic_tridiagonal
 DAMPING = 0.5
 MIN_DAMPING_STEP = 2.0 ** -20
 MAX_NEWTON_ITERS = 200
+TOL = 1e-10
 
 
 def _residual_arr(model: HamiltonianModel, grid: Grid1D, u: np.ndarray,
@@ -98,11 +105,12 @@ def viscous_jacobian(model: HamiltonianModel, u: ScalarField, lam: float,
 
 
 def _newton(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
-            u0: np.ndarray, tol: float) -> tuple[np.ndarray, int, float, bool]:
+            u0: np.ndarray) -> tuple[np.ndarray, int, float, bool]:
     """One damped Newton run at fixed eps from u0. Returns (u, iters, residual, converged).
 
-    A run whose residual meets the tolerance converges only if the Jacobian
-    at its final iterate is expansion free. A non-finite start raises ValueError.
+    It stops at the residual max(TOL, floor(u)) of the module docstring and
+    converges only if the Jacobian at its final iterate is expansion free. A
+    non-finite start raises ValueError.
     """
     u = u0.copy()
     res = _residual_arr(model, grid, u, lam, eps)
@@ -110,7 +118,8 @@ def _newton(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
     if not np.isfinite(rnorm):
         raise ValueError(f"residual at the starting field is {rnorm!r}: the model is not finite")
     it = 0
-    while rnorm > tol:
+    ulp_scale = 4.0 * eps / grid.h ** 2  # floor(u) = ulp_scale * ulp(max|u|)
+    while rnorm > max(TOL, ulp_scale * float(np.spacing(np.max(np.abs(u))))):
         if it == MAX_NEWTON_ITERS:
             return u, it, rnorm, False
         step = solve_cyclic_tridiagonal(_jacobian_arr(grid, u, lam, eps), -res)
@@ -141,18 +150,18 @@ def _continuation_chain(eps: float) -> list[float]:
     return chain + [eps] if chain else []
 
 
-def solve_viscous(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
-                  tol: float = 1e-10) -> tuple[ScalarField, SolveReport]:
+def solve_viscous(model: HamiltonianModel, lam: float, eps: float,
+                  grid: Grid1D) -> tuple[ScalarField, SolveReport]:
     """Solve the discounted viscous equation; non-convergence is reported.
 
-    Newton runs cold from zero at eps to the residual inf-norm tol. If that
+    Newton runs cold from zero at eps to the module's Newton stop. If that
     fails, it restarts from zero at eps = 0.5 and descends the continuation
     chain, each level warm-started from the previous one, until a level fails
     or eps is reached. The report carries the iteration count (summed over
     all runs), the final residual inf-norm, the convergence flag and how many
     continuation levels ran (0 for a successful cold start). converged=False
     covers a Newton stall, an exhausted iteration budget (MAX_NEWTON_ITERS
-    per run), and a residual that meets the tolerance at a field whose
+    per run), and a residual that meets the stop at a field whose
     Jacobian has an expansion row, where the non-monotone averaged scheme
     cannot be trusted. Only a linear solve that the tridiagonal solver
     rejects raises, as ConvergenceError; a model that is not finite on the
@@ -160,12 +169,11 @@ def solve_viscous(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
     """
     check_positive("lambda", lam)
     check_positive("eps", eps)
-    check_positive("tol", tol)
     zero = np.zeros(grid.n)
     total = 0
     for steps, level in enumerate([eps] + _continuation_chain(eps)):
         # the cold start and the first continuation level both start from zero
-        u, it, rnorm, ok = _newton(model, lam, level, grid, u if steps > 1 else zero, tol)
+        u, it, rnorm, ok = _newton(model, lam, level, grid, u if steps > 1 else zero)
         total += it
         if ok == (steps == 0):
             # a converged cold start needs no continuation; a failed level ends it

@@ -162,10 +162,7 @@ def test_criterion_08_ergodic_constant_scaling(pendulum):
     lam_seq = (1e-2, 5e-3, 2.5e-3)
     grid = hv.Grid1D(1024)
     eps_list = (0.2, 0.1, 0.05, 0.025)
-    # eps = 0.2 at the smallest lambda plateaus just above the default
-    # Newton tolerance; 1e-8 residual is far below the scale of c(eps)
-    cs = [hv.estimate_ergodic_constant(pendulum, e, lam_seq, grid, tol=1e-8)
-          for e in eps_list]
+    cs = [hv.estimate_ergodic_constant(pendulum, e, lam_seq, grid) for e in eps_list]
     ratios = [abs(c) / e for c, e in zip(cs, eps_list)]
     k_fit = max(ratios)
     assert k_fit <= 1.5, (k_fit, cs)

@@ -78,6 +78,9 @@ def test_random_potentials_solve_finite_and_adjoint_is_transpose(coeffs, lam, n,
     assert np.all(np.isfinite(u.values)) and np.isfinite(report.final_residual_inf)
     if not report.converged:
         return
+    # the Newton stop: TOL, or the roundoff floor of eps*Lu at the returned field
+    res = float(np.max(np.abs(hv.viscous_residual(model, u, lam, eps).values)))
+    assert res <= max(1e-10, 4.0 * eps / grid.h ** 2 * np.spacing(np.max(np.abs(u.values))))
     assume(grid.h * float(np.max(np.abs(hv.drift_field(model, u).values))) <= 2.0 * eps)
     x0 = int(source * n)
     try:

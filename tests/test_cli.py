@@ -33,7 +33,6 @@ def test_dump_config_round_trips(tmp_path, capsys):
     assert doc["lambda"] == 0.1
     assert doc["epsilon"] == 0.05
     assert doc["n"] == 64
-    assert doc["tol"] == 1e-10
     assert doc["hamiltonian"] == "pendulum"
 
     # feeding the dump back as a config file resolves to the same run
@@ -146,13 +145,18 @@ def test_nonpositive_parameter_exits_one(capsys):
     assert "positive" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["solve-viscous", "adjoint"])
-def test_infinite_tolerance_exits_one(command, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["solve-viscous", "adjoint", "solve-inviscid"])
+def test_tolerance_key_is_unknown(command, tmp_path, capsys):
+    # Newton picks its own stop, so a config that still sets "tol" is rejected
+    doc = {"lambda": 0.1, "n": 64, "tol": 1e-8}
+    if command != "solve-inviscid":
+        doc["epsilon"] = 0.05
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
     out = tmp_path / "field.csv"
-    rc = cli.main([command, "--lambda", "0.1", "--epsilon", "0.05", "--n", "64",
-                   "--tol", "inf", "--out", str(out)])
+    rc = cli.main([command, "--config", str(cfg), "--out", str(out)])
     assert rc == 1
-    assert "tol" in capsys.readouterr().err
+    assert "unknown config key(s): tol" in capsys.readouterr().err
     assert not out.exists()
 
 

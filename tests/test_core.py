@@ -165,12 +165,9 @@ _LAMS = [0.1, 0.05, 0.02]
 _POSITIVE_PARAMETERS = {
     "solve_viscous lambda": lambda v: hv.solve_viscous(_MODEL, v, 0.1, _GRID),
     "solve_viscous eps": lambda v: hv.solve_viscous(_MODEL, 0.1, v, _GRID),
-    "solve_viscous tol": lambda v: hv.solve_viscous(_MODEL, 0.1, 0.1, _GRID, tol=v),
     "solve_pendulum_ode lambda": lambda v: hv.solve_pendulum_ode(v, 32),
     "lax_friedrichs lambda": lambda v: hv.solve_discounted_lax_friedrichs(_MODEL, v, _GRID, 3.75),
     "lax_friedrichs sigma": lambda v: hv.solve_discounted_lax_friedrichs(_MODEL, 0.1, _GRID, v),
-    "lax_friedrichs tol": lambda v: hv.solve_discounted_lax_friedrichs(
-        _MODEL, 0.1, _GRID, 3.75, tol=v),
     "solve_adjoint_stationary lambda": lambda v: hv.solve_adjoint_stationary(_MODEL, _U, v, 0.1),
     "solve_adjoint_stationary eps": lambda v: hv.solve_adjoint_stationary(_MODEL, _U, 0.1, v),
     "evolve_fokker_planck eps": lambda v: hv.evolve_fokker_planck(_DRIFT, v, 0, 1.0),

@@ -175,6 +175,7 @@ def test_closedness_requires_half_node_support(pendulum, std_run):
     phi = hv.ScalarField(grid, np.sin(grid.x))
     with pytest.raises(ValueError, match="half nodes"):
         hv.closedness_defect(shifted, std_run["eps"], phi)
-    for bad_eps in (np.nan, np.inf, -np.inf, -0.1):
+    for bad_eps in (np.nan, np.inf, -np.inf, -0.1, True):
         with pytest.raises(ValueError, match="eps"):
             hv.closedness_defect(mu, bad_eps, phi)
+    assert np.isfinite(hv.closedness_defect(mu, 0.0, phi))  # the classical closed case

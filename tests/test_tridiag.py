@@ -123,11 +123,13 @@ def test_no_module_checks_with_assert_statements():
 
 
 def test_positivity_rule_lives_in_core():
-    # core.check_positive is the one "positive and finite" rule; no module keeps a copy
+    # core.check_positive and core.check_nonnegative are the one "positive and
+    # finite" and "nonnegative and finite" rules; no module keeps a copy
     src = Path(hv.__file__).parent
     users = [p.name for p in sorted(src.glob("*.py")) if p.name != "core.py"
              and any(isinstance(node, ast.Constant) and isinstance(node.value, str)
-                     and "must be positive" in node.value
+                     and ("must be positive" in node.value
+                          or "must be nonnegative" in node.value)
                      for node in ast.walk(ast.parse(p.read_text())))]
     assert users == []
 
