@@ -4,7 +4,8 @@ Two independent routes to u_lambda with eps = 0:
 
 * the pendulum admits the explicit branch ODE
       u'(x) = sqrt(2 * (1 - cos x - lambda * u)),  u(0) = 0  on [0, pi],
-  extended to the torus by the even reflection u(2*pi - x) = u(x);
+  extended to the torus by the even reflection u(2*pi - x) = u(x), and
+  solved to roundoff by Hermite-Simpson collocation in whole-grid sweeps;
 * the monotone Lax-Friedrichs scheme, which is the viscous equation at
   eps = sigma*h/2 solved by damped Newton, works for any potential V and
   serves as the cross oracle.
@@ -21,6 +22,7 @@ from .core import (ConvergenceError, Grid1D, HamiltonianModel, ScalarField, Solv
 from .viscous import _half_node_drift, solve_viscous
 
 RADICAND_REJECT = -1e-8
+MAX_SWEEPS = 200
 
 
 def checked_radicand(r: float) -> float:
@@ -38,39 +40,39 @@ def checked_radicand(r: float) -> float:
     return 0.0
 
 
-def solve_pendulum_ode(lam: float, n_half: int) -> ScalarField:
-    """Integrate the pendulum branch ODE with classical RK4 at step pi/n_half.
+def _branch_sweeps(a: np.ndarray, am: np.ndarray, lam: float, h: float) -> np.ndarray:
+    """The sweeps of solve_pendulum_ode for u' = f = sqrt(2(a - lam*u)), u(0) = 0, step h, a at
+    the nodes, am at the midpoints. With a ~ x^2/2 at the root, u ~ k x^2/2 (k^2 = 1 - lam*k) and
+    a sweep scales that error mode by -lam/(2k); relaxing by 1/(1 + lam/(2k)) cancels it."""
+    relax = 1.0 / (1.0 + lam / (math.sqrt(lam * lam + 4.0) - lam))
+    u = np.zeros_like(a)
+    for _ in range(MAX_SWEEPS):
+        r = a - lam * u
+        f = np.sqrt(2.0 * np.maximum(r, 0.0))
+        rm = am - lam * (0.5 * (u[:-1] + u[1:]) + (h / 8.0) * (f[:-1] - f[1:]))
+        fm = np.sqrt(2.0 * np.maximum(rm, 0.0))
+        step = np.concatenate(([0.0], np.cumsum((h / 6.0) * (f[:-1] + 4.0 * fm + f[1:])))) - u
+        move = float(np.max(np.abs(step)))
+        if move <= 1e-15 * max(1.0, float(u[-1])):  # iterates are nondecreasing
+            checked_radicand(float(min(np.min(r), np.min(rm))))
+            return u
+        u += relax * step
+    raise ConvergenceError(f"branch ODE sweeps did not settle in {MAX_SWEEPS} at lambda {lam:.3e}")
 
-    Returns the even-reflected solution as a ScalarField on the full torus
-    grid with n = 2*n_half nodes (the integration nodes j*pi/n_half coincide
-    with torus nodes j*2*pi/n).
-    """
+
+def solve_pendulum_ode(lam: float, n_half: int) -> ScalarField:
+    """Hermite-Simpson (Lobatto IIIA) collocation of the pendulum branch ODE at step pi/n_half,
+    u_mid = (u_j + u_{j+1})/2 + h/8 (f_j - f_{j+1}), u_{j+1} = u_j + h/6 (f_j + 4 f_mid + f_{j+1}),
+    solved on the whole grid by the relaxed Picard sweeps of _branch_sweeps until one moves u
+    by at most 1e-15*max(1, max u). Iterates clamp radicands at 0; checked_radicand sees only
+    the converged iterate's least radicand, and MAX_SWEEPS sweeps without settling raise
+    ConvergenceError. Returns the even reflection on the n = 2*n_half torus nodes."""
     check_positive("lambda", lam)
     check_index("n_half", n_half, 4)
-
     h = math.pi / n_half
-
-    def f(x: float, u: float) -> float:
-        r = checked_radicand(1.0 - math.cos(x) - lam * u)
-        return math.sqrt(2.0 * r)
-
-    half = np.empty(n_half + 1)
-    half[0] = 0.0
-    u = 0.0
-    for j in range(n_half):
-        x = j * h
-        k1 = f(x, u)
-        k2 = f(x + 0.5 * h, u + 0.5 * h * k1)
-        k3 = f(x + 0.5 * h, u + 0.5 * h * k2)
-        k4 = f(x + h, u + h * k3)
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        half[j + 1] = u
-
-    n = 2 * n_half
-    full = np.empty(n)
-    full[: n_half + 1] = half
-    full[n_half + 1:] = half[n_half - 1: 0: -1]
-    return ScalarField(Grid1D(n), full)
+    c = 1.0 - np.cos(np.arange(2 * n_half + 1) * (0.5 * h))  # nodes and midpoints
+    half = _branch_sweeps(c[::2], c[1::2], lam, h)
+    return ScalarField(Grid1D(2 * n_half), np.concatenate((half, half[n_half - 1:0:-1])))
 
 
 def solve_discounted_lax_friedrichs(model: HamiltonianModel, lam: float, grid: Grid1D,

@@ -8,9 +8,9 @@ with D+u_j = (u_{j+1} - u_j)/h, D-u_j = D+u_{j-1}, x_{j+1/2} = x_j + h/2 and
 Lu the periodic central Laplacian from core. Averaging H over the two
 one-sided gradients keeps the scheme second order and, unlike H(x_j, Du_j)
 at the central gradient, lets the Hamiltonian see the node-alternating mode
-(-1)^j. Each evaluation needs one H call on the n half-node gradients; the
-Jacobian needs none (its drift dH/dp = p is the half-node gradient) and is
-cyclic tridiagonal, so every Newton step is one banded solve.
+(-1)^j. V at the half nodes is taken once per Newton run; the Jacobian
+needs no H (its drift dH/dp = p is the half-node gradient) and is cyclic
+tridiagonal, so every Newton step is one banded solve.
 
 Every Newton run stops by one rule: the residual inf-norm is at most
 max(TOL, floor(u)), floor(u) = 4*eps/h^2 * ulp(max|u|) at the current
@@ -37,16 +37,17 @@ MAX_NEWTON_ITERS = 200
 TOL = 1e-10
 
 
-def _residual_arr(model: HamiltonianModel, grid: Grid1D, u: np.ndarray,
+def _residual_arr(model: HamiltonianModel, v_half: np.ndarray, h: float, u: np.ndarray,
                   lam: float, eps: float) -> np.ndarray:
     """F_j = lambda*u_j + (G_{j+1/2} + G_{j-1/2})/2 - eps*Lu_j, G_{j+1/2} = H(x_{j+1/2}, D+u_j)."""
-    h = grid.h
-    up = np.roll(u, -1)
-    lap = (up - 2.0 * u + np.roll(u, 1)) / (h * h)
-    # model.h returns a fresh array; accumulating F in place saves the
-    # n-length temporaries (and heap churn) of this hot path
-    g = model.h(grid.x + 0.5 * h, (up - u) / h)
-    g += np.roll(g, 1)
+    up = np.concatenate((u[1:], u[:1]))  # slice copies: cheaper than np.roll
+    lap = (up - 2.0 * u + np.concatenate((u[-1:], u[:-1]))) / (h * h)
+    # G in model.h's order, (p^2/2 + V) + level, from v_half = V(x_{j+1/2}) taken once per
+    # Newton run; F accumulates in place to spare the hot path n-length temporaries
+    g = 0.5 * ((up - u) / h) ** 2
+    g += v_half
+    g += model.level
+    g += np.concatenate((g[-1:], g[:-1]))
     g *= 0.5
     g += lam * u
     g -= eps * lap
@@ -55,7 +56,7 @@ def _residual_arr(model: HamiltonianModel, grid: Grid1D, u: np.ndarray,
 
 def _half_node_drift(grid: Grid1D, u: np.ndarray) -> np.ndarray:
     """b_{j+1/2} = dH/dp(x_{j+1/2}, D+u_j) = D+u_j, since H = p^2/2 + V(x)."""
-    return (np.roll(u, -1) - u) / grid.h
+    return (np.concatenate((u[1:], u[:1])) - u) / grid.h
 
 
 def drift_diffusion_bands(grid: Grid1D, b_half: np.ndarray, lam: float,
@@ -68,7 +69,7 @@ def drift_diffusion_bands(grid: Grid1D, b_half: np.ndarray, lam: float,
     the Newton Jacobian; its transpose is the adjoint (Fokker-Planck) operator.
     """
     h = grid.h
-    bm = np.roll(b_half, 1)  # b_{j-1/2}
+    bm = np.concatenate((b_half[-1:], b_half[:-1]))  # b_{j-1/2}
     visc = eps / (h * h)
     return CyclicTridiagonalMatrix(diag=lam + 2.0 * visc + (bm - b_half) / (2.0 * h),
                                    sub=-bm / (2.0 * h) - visc,
@@ -94,7 +95,8 @@ def _expansion_free(sub: np.ndarray, sup: np.ndarray) -> bool:
 def viscous_residual(model: HamiltonianModel, u: ScalarField, lam: float,
                      eps: float) -> ScalarField:
     """Pointwise residual lambda*u + (H(D+u) + H(D-u))/2 - eps*Lu of a candidate field."""
-    return ScalarField(u.grid, _residual_arr(model, u.grid, u.values, lam, eps))
+    v_half = model.potential(u.grid.x + 0.5 * u.grid.h)
+    return ScalarField(u.grid, _residual_arr(model, v_half, u.grid.h, u.values, lam, eps))
 
 
 def viscous_jacobian(model: HamiltonianModel, u: ScalarField, lam: float,
@@ -113,7 +115,8 @@ def _newton(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
     non-finite start raises ValueError.
     """
     u = u0.copy()
-    res = _residual_arr(model, grid, u, lam, eps)
+    v_half = model.potential(grid.x + 0.5 * grid.h)
+    res = _residual_arr(model, v_half, grid.h, u, lam, eps)
     rnorm = float(np.max(np.abs(res)))
     if not np.isfinite(rnorm):
         raise ValueError(f"residual at the starting field is {rnorm!r}: the model is not finite")
@@ -127,7 +130,7 @@ def _newton(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
         t = 1.0
         while True:
             trial = u + t * step
-            trial_res = _residual_arr(model, grid, trial, lam, eps)
+            trial_res = _residual_arr(model, v_half, grid.h, trial, lam, eps)
             trial_norm = float(np.max(np.abs(trial_res)))
             if np.isfinite(trial_norm) and trial_norm < rnorm:
                 u, res, rnorm = trial, trial_res, trial_norm

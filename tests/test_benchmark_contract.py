@@ -6,6 +6,8 @@ removes or renames something the benchmark looks up.
 """
 
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -47,3 +49,16 @@ def test_workload_warmup_passes(name, workloads, tmp_path):
         assert outcome.attempted == 40
     else:
         assert outcome.failed == 0, outcome.problems
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    """`import hjvisc` loads scipy.linalg only: integrate, optimize, sparse and
+    special would add about 22 MB of RSS and 0.2-0.3 s to every start."""
+    src = str(Path(hv.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    code = ("import sys, hjvisc; print(' '.join(m for m in ('scipy.integrate', "
+            "'scipy.optimize', 'scipy.sparse', 'scipy.special') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.split() == []

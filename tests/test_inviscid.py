@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hjvisc as hv
 from hjvisc.inviscid import checked_radicand
@@ -48,6 +49,51 @@ def test_pendulum_ode_rejects_non_integer_half_grid():
         hv.solve_pendulum_ode(0.1, 4.5)
 
 
+def _dop853_branch(lam, n_half):
+    """DOP853 (rtol 1e-13, atol 1e-15) solution of the branch ODE at the nodes j*pi/n_half."""
+    from scipy.integrate import solve_ivp  # oracle only; hjvisc never imports it
+
+    def rhs(t, y):
+        return np.sqrt(2.0 * np.maximum(1.0 - np.cos(t) - lam * y, 0.0))
+    sol = solve_ivp(rhs, (0.0, np.pi), [0.0], method="DOP853", rtol=1e-13, atol=1e-15,
+                    dense_output=True)
+    return sol.sol(np.arange(n_half + 1) * (np.pi / n_half))[0]
+
+
+def test_pendulum_ode_matches_dop853():
+    """The collocation is solved to roundoff: within 1e-11 of DOP853 on both
+    sweep grids and every default lambda (classical RK4 was 8e-9 off)."""
+    for n_half in (1024, 8192):
+        for lam in hv.DEFAULT_LAMBDA_LIST:
+            u = hv.solve_pendulum_ode(lam, n_half).values[: n_half + 1]
+            assert float(np.max(np.abs(u - _dop853_branch(lam, n_half)))) <= 1e-11, (n_half, lam)
+
+
+def test_pendulum_ode_settles_past_the_two_cycle():
+    """From lambda ~ 0.6 plain sweeps crawl or two-cycle; relaxed ones settle on the
+    collocation (the RK4 this replaced raised from lambda = 0.8 even at n_half = 8192)."""
+    for lam in (0.6, 0.7, 0.9, 1.1):
+        u = hv.solve_pendulum_ode(lam, 1024).values[:1025]
+        assert float(np.max(np.abs(u - _dop853_branch(lam, 1024)))) <= 1e-11, lam
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(lams=st.lists(st.floats(1e-3, 0.3), min_size=2, max_size=2), k=st.integers(4, 13))
+def test_pendulum_ode_invariants(lams, k):
+    """u(0) = 0, exact even reflection, nondecreasing on [0, pi], and
+    nonincreasing in lambda up to the sweeps' roundoff stop (about 4e-15)."""
+    n_half = 2 ** k
+    n = 2 * n_half
+    lo, hi = sorted(lams)
+    u_lo = hv.solve_pendulum_ode(lo, n_half).values
+    u_hi = hv.solve_pendulum_ode(hi, n_half).values
+    for vals in (u_lo, u_hi):
+        assert vals[0] == 0.0
+        assert np.array_equal(vals, vals[(-np.arange(n)) % n])
+        assert np.all(np.diff(vals[: n_half + 1]) >= 0.0)
+    assert np.all(u_hi <= u_lo + 1e-14)
+
+
 def test_lax_friedrichs_flat_is_exact():
     u, report = hv.solve_discounted_lax_friedrichs(
         hv.flat_hamiltonian(), 0.1, hv.Grid1D(128), 1.0)
@@ -76,27 +122,26 @@ def test_lax_friedrichs_cross_validates_ode(pendulum):
 
 
 def test_lax_friedrichs_monotone_update(pendulum):
-    """Raising any nodal value never lowers the updated value elsewhere."""
+    """At eps = sigma*h/2 and max|D+u| <= sigma, the program's residual is a
+    monotone scheme: raising u_k never raises F_j at any j != k, and the
+    Jacobian's off-diagonals are nonpositive."""
     n = 64
     g = hv.Grid1D(n)
     rng = np.random.RandomState(11)
-    base = 0.4 * np.sin(g.x) + 0.05 * rng.standard_normal(n)
+    base = hv.ScalarField(g, 0.4 * np.sin(g.x) + 0.05 * rng.standard_normal(n))
     lam, sigma = 0.1, 3.0
-    omega = g.h / (sigma + lam * g.h)
-
-    def update(v):
-        right = np.roll(v, -1)
-        left = np.roll(v, 1)
-        ham = pendulum.h(g.x, (right - left) / (2.0 * g.h))
-        return (1.0 - lam * omega) * v + omega * (
-            -ham + sigma * (right - 2.0 * v + left) / (2.0 * g.h))
-
-    ref = update(base)
+    eps = 0.5 * sigma * g.h
+    assert np.max(np.abs(hv.drift_field(pendulum, base).values)) <= sigma
+    jac = hv.viscous_jacobian(pendulum, base, lam, eps)
+    assert np.all(jac.sub <= 0.0) and np.all(jac.super <= 0.0)
+    ref = hv.viscous_residual(pendulum, base, lam, eps).values
     for k in (0, 7, 33, 50):
-        bumped = base.copy()
+        bumped = base.values.copy()
         bumped[k] += 1e-6
-        drop = float(np.min(update(bumped) - ref))
-        assert drop >= -1e-15
+        res = hv.viscous_residual(pendulum, hv.ScalarField(g, bumped), lam, eps).values
+        drop = np.delete(ref - res, k)
+        assert float(np.min(drop)) >= -1e-15
+        assert float(np.max(drop)) > 0.0  # the bump reaches the neighbours
 
 
 def test_lax_friedrichs_divergence_advice(pendulum):
