@@ -31,10 +31,11 @@ from typing import Iterable
 import numpy as np
 
 from .core import (ConvergenceError, DensityField, Grid1D, HamiltonianModel,
-                   ScalarField, check_index, check_positive, check_unit_mass)
+                   ScalarField, check_index, check_positive, check_unit_mass,
+                   forward_difference)
 from .tridiag import (CyclicTridiagonalMatrix, factor_cyclic_tridiagonal,
                       solve_cyclic_tridiagonal)
-from .viscous import _half_node_drift, drift_diffusion_bands, viscous_jacobian
+from .viscous import drift_diffusion_bands, viscous_jacobian
 
 NEGATIVITY_REJECT = -1e-8
 _CHUNK = 32  # identity columns stepped at once: keeps the build's temporaries small
@@ -42,8 +43,9 @@ _CHUNK = 32  # identity columns stepped at once: keeps the build's temporaries s
 
 def drift_field(model: HamiltonianModel, u: ScalarField) -> ScalarField:
     """Half-node drift b_{j+1/2} = dH/dp(x_{j+1/2}, D+u_j) = D+u_j at index j,
-    for every model: the drift of the Newton Jacobian, adjoint and measure."""
-    return ScalarField(u.grid, _half_node_drift(u.grid, u.values))
+    for every model: the drift of the Newton Jacobian, adjoint and measure.
+    ``model`` is unread; the benchmark workloads pass it positionally."""
+    return ScalarField(u.grid, forward_difference(u.values, u.grid.h))
 
 
 def solve_adjoint_stationary(model: HamiltonianModel, u: ScalarField, lam: float,
@@ -56,14 +58,15 @@ def solve_adjoint_stationary(model: HamiltonianModel, u: ScalarField, lam: float
     theta can dip below zero: entries below -1e-8 reject the solve (refine
     the grid or raise eps); milder negative dips are roundoff and are clamped
     before the final renormalization, whose factor must stay within 1e-6 of 1
-    and is recorded on the returned field.
+    and is recorded on the returned field. ``model`` is unread; the benchmark
+    workloads pass it positionally.
     """
     grid = u.grid
     check_positive("lambda", lam)
     check_positive("eps", eps)
     check_index("x0_index", x0_index, 0, grid.n)
 
-    system = viscous_jacobian(model, u, lam, eps).transpose()
+    system = viscous_jacobian(u, lam, eps).transpose()
     rhs = np.zeros(grid.n)
     rhs[x0_index] = lam / grid.h
     theta = solve_cyclic_tridiagonal(system, rhs)
@@ -246,8 +249,7 @@ def stationary_from_transient(rho_sequence: Iterable[tuple[float, DensityField]]
     return DensityField(rho_prev.grid, acc)
 
 
-def averaged_drift(u_eps: ScalarField, u_delta: ScalarField,
-                   model: HamiltonianModel) -> ScalarField:
+def averaged_drift(u_eps: ScalarField, u_delta: ScalarField) -> ScalarField:
     """vartheta_{j+1/2} = int_0^1 dH/dp(x_{j+1/2}, r*D+u_eps_j + (1-r)*D+u_delta_j) dr.
 
     The half-node secant drift, stored at index j: drift_diffusion_bands at
@@ -256,9 +258,9 @@ def averaged_drift(u_eps: ScalarField, u_delta: ScalarField,
     """
     if u_eps.grid != u_delta.grid:
         raise ValueError("fields live on different grids")
-    grid = u_eps.grid
-    return ScalarField(grid, 0.5 * (_half_node_drift(grid, u_eps.values)
-                                    + _half_node_drift(grid, u_delta.values)))
+    h = u_eps.grid.h
+    return ScalarField(u_eps.grid, 0.5 * (forward_difference(u_eps.values, h)
+                                          + forward_difference(u_delta.values, h)))
 
 
 def entropy_diagnostic(rho: DensityField) -> float:

@@ -26,7 +26,7 @@ from .adjoint import solve_adjoint_stationary
 from .core import (ConvergenceError, Grid1D, HamiltonianModel, ScalarField,
                    check_positive, flat_hamiltonian, pendulum_hamiltonian,
                    separable_hamiltonian)
-from .harness import DEFAULT_LAMBDA_LIST, run_sweep, sweep_to_csv, _g17
+from .harness import DEFAULT_LAMBDA_LIST, g17, run_sweep, sweep_to_csv
 from .inviscid import solve_discounted_lax_friedrichs, solve_pendulum_ode
 from .measures import estimate_ergodic_constant
 from .regularize import sup_convolution, subsolution_defect
@@ -148,7 +148,7 @@ def field_to_csv(field: ScalarField) -> str:
     """`x,value` rows for a nodal field (a DensityField is one too)."""
     lines = ["x,value"]
     for x, v in zip(field.grid.x, field.values):
-        lines.append(f"{_g17(x)},{_g17(v)}")
+        lines.append(f"{g17(x)},{g17(v)}")
     return "\n".join(lines) + "\n"
 
 
@@ -160,29 +160,22 @@ def _write_out(params: dict[str, Any], text: str) -> None:
 
 def _solve_inviscid_field(params: dict[str, Any], model: HamiltonianModel,
                           grid: Grid1D) -> ScalarField:
-    pendulum = model == pendulum_hamiltonian()
-    method = params.get("method")
-    if method is None:
-        method = "ode" if pendulum else "lf"
-    if method == "ode":
-        if not pendulum:
-            raise ValueError("the branch ODE reference applies to the pendulum only")
+    """The branch ODE for the pendulum, Lax-Friedrichs at --sigma for any other model."""
+    if model == pendulum_hamiltonian():
         if grid.n % 2 != 0:
             raise ValueError("the ODE reference needs an even grid size")
         return solve_pendulum_ode(params["lambda"], grid.n // 2)
-    if method == "lf":
-        # default: 1.25 * max|dH/dp| = 1.25 * max|p| over |p| <= 3
-        sigma = params.get("sigma") or 3.75
-        u, _report = solve_discounted_lax_friedrichs(model, params["lambda"], grid, sigma)
-        return u
-    raise ValueError(f"unknown method {method!r} (ode or lf)")
+    # default: 1.25 * max|dH/dp| = 1.25 * max|p| over |p| <= 3
+    sigma = params.get("sigma") or 3.75
+    u, _report = solve_discounted_lax_friedrichs(model, params["lambda"], grid, sigma)
+    return u
 
 
 def _cmd_solve_viscous(params: dict[str, Any], model: HamiltonianModel, grid: Grid1D) -> int:
     u, report = solve_viscous(model, params["lambda"], params["epsilon"], grid)
     report.require_converged("viscous solve")
     _write_out(params, field_to_csv(u))
-    print(f"iterations={report.iterations} residual_inf={_g17(report.final_residual_inf)} "
+    print(f"iterations={report.iterations} residual_inf={g17(report.final_residual_inf)} "
           f"continuation_steps={report.continuation_steps}")
     return 0
 
@@ -190,7 +183,7 @@ def _cmd_solve_viscous(params: dict[str, Any], model: HamiltonianModel, grid: Gr
 def _cmd_solve_inviscid(params: dict[str, Any], model: HamiltonianModel, grid: Grid1D) -> int:
     u = _solve_inviscid_field(params, model, grid)
     _write_out(params, field_to_csv(u))
-    print(f"max_u={_g17(float(np.max(u.values)))}")
+    print(f"max_u={g17(float(np.max(u.values)))}")
     return 0
 
 
@@ -200,16 +193,16 @@ def _cmd_adjoint(params: dict[str, Any], model: HamiltonianModel, grid: Grid1D) 
     theta = solve_adjoint_stationary(model, u, params["lambda"], params["epsilon"],
                                      params["x0-index"])
     _write_out(params, field_to_csv(theta))
-    print(f"mass={_g17(grid.h * float(np.sum(theta.values)))} "
-          f"renorm_factor={_g17(theta.renorm_factor)}")
+    print(f"mass={g17(grid.h * float(np.sum(theta.values)))} "
+          f"renorm_factor={g17(theta.renorm_factor)}")
     return 0
 
 
 def _cmd_ergodic(params: dict[str, Any], model: HamiltonianModel, grid: Grid1D) -> int:
     eps = params["epsilon"]
     c_eps = estimate_ergodic_constant(model, eps, params["lambda-seq"], grid)
-    _write_out(params, f"epsilon,c_eps\n{_g17(eps)},{_g17(c_eps)}\n")
-    print(f"c_eps={_g17(c_eps)}")
+    _write_out(params, f"epsilon,c_eps\n{g17(eps)},{g17(c_eps)}\n")
+    print(f"c_eps={g17(c_eps)}")
     return 0
 
 
@@ -218,18 +211,18 @@ def _cmd_supconv(params: dict[str, Any], model: HamiltonianModel, grid: Grid1D) 
     u_delta = sup_convolution(u, params["delta"])
     defect = subsolution_defect(u_delta, params["lambda"], model)
     _write_out(params, field_to_csv(u_delta))
-    print(f"subsolution_defect={_g17(defect)}")
+    print(f"subsolution_defect={g17(defect)}")
     return 0
 
 
 def _cmd_sweep(params: dict[str, Any], model: HamiltonianModel, grid: Grid1D) -> int:
     result = run_sweep(model, params["alpha"], params["lambda-list"], grid.n)
     _write_out(params, sweep_to_csv(result))
-    print(f"fitted_slope={_g17(result.fitted_slope)} r_squared={_g17(result.r_squared)} "
+    print(f"fitted_slope={g17(result.fitted_slope)} r_squared={g17(result.r_squared)} "
           f"records={len(result.records)} failed={len(result.failed_lambdas)}")
     if result.failed_lambdas:
         for lam in result.failed_lambdas:
-            print(f"failed lambda={_g17(lam)}", file=sys.stderr)
+            print(f"failed lambda={g17(lam)}", file=sys.stderr)
         return 2
     return 0
 
@@ -240,9 +233,7 @@ _COMMANDS: dict[str, tuple[Callable[..., int], dict[str, _Param]]] = {
         **_MODEL, "n": _N1024, "lambda": _LAMBDA, "epsilon": _EPS, "out": _OUT,
     }),
     "solve-inviscid": (_cmd_solve_inviscid, {
-        **_MODEL, "n": _N1024, "lambda": _LAMBDA,
-        "method": _Param("str", help="ode (pendulum only) or lf; default by model"),
-        "sigma": _SIGMA, "out": _OUT,
+        **_MODEL, "n": _N1024, "lambda": _LAMBDA, "sigma": _SIGMA, "out": _OUT,
     }),
     "adjoint": (_cmd_adjoint, {
         **_MODEL, "n": _N2048, "lambda": _LAMBDA, "epsilon": _EPS,

@@ -3,14 +3,16 @@
 Everything downstream (viscous and inviscid solvers, adjoint densities,
 measures) works on a uniform grid over the flat torus of circumference 2*pi
 with nodes x_j = j*h, j = 0..n-1, h = 2*pi/n.
-Derivatives are the standard second-order periodic stencils
+Every module builds its stencils from the one periodic shift kept here,
+shift(v, +-1) = v_{j+-1} with indices wrapping mod n:
 
-    Du_j  = (u_{j+1} - u_{j-1}) / (2h)
-    Lu_j  = (u_{j+1} - 2u_j + u_{j-1}) / h^2
+    D+u_j = (u_{j+1} - u_j) / h                 (forward_difference, at x_{j+1/2})
+    Du_j  = (u_{j+1} - u_{j-1}) / (2h)          (central_gradient)
+    Lu_j  = (u_{j+1} - 2u_j + u_{j-1}) / (h*h)  (discrete_laplacian)
 
-with indices wrapping mod n. The one model class is H(x, p) = p^2/2 + V(x):
-its drift dH/dp is the momentum itself, and its critical value is
-c(H) = max V.
+A half-node value at x_{j+1/2} = x_j + h/2 (Grid1D.x_half) sits at index j.
+The one model class is H(x, p) = p^2/2 + V(x): its drift dH/dp is the
+momentum itself, and its critical value is c(H) = max V.
 
 Every entry point checks its input with the one copy of each rule kept here
 (ValueError on failure, bools rejected): check_positive, check_nonnegative,
@@ -93,6 +95,11 @@ class Grid1D:
     @property
     def x(self) -> np.ndarray:
         return self.h * np.arange(self.n)
+
+    @property
+    def x_half(self) -> np.ndarray:
+        """The half nodes x_{j+1/2} = x_j + h/2, x_{j+1/2} at index j."""
+        return self.x + 0.5 * self.h
 
 
 @dataclass(frozen=True)
@@ -227,15 +234,23 @@ def flat_hamiltonian() -> HamiltonianModel:
     return HamiltonianModel(np.zeros_like)
 
 
+def shift(v: np.ndarray, k: int) -> np.ndarray:
+    """v_{j+k} for k = +1 or -1 along the first axis, wrapping mod n, as one slice copy."""
+    return np.concatenate((v[k:], v[:k]))
+
+
+def forward_difference(v: np.ndarray, h: float) -> np.ndarray:
+    """D+v_j = (v_{j+1} - v_j) / h, the half-node value at x_{j+1/2} stored at index j."""
+    return (shift(v, 1) - v) / h
+
+
 def central_gradient(u: ScalarField) -> ScalarField:
     """Second-order periodic central difference (u_{j+1} - u_{j-1}) / (2h)."""
     v = u.values
-    out = (np.roll(v, -1) - np.roll(v, 1)) / (2.0 * u.grid.h)
-    return ScalarField(u.grid, out)
+    return ScalarField(u.grid, (shift(v, 1) - shift(v, -1)) / (2.0 * u.grid.h))
 
 
 def discrete_laplacian(u: ScalarField) -> ScalarField:
-    """Second-order periodic stencil (u_{j+1} - 2u_j + u_{j-1}) / h^2."""
-    v = u.values
-    out = (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / (u.grid.h ** 2)
-    return ScalarField(u.grid, out)
+    """Second-order periodic stencil (u_{j+1} - 2u_j + u_{j-1}) / (h*h)."""
+    v, h = u.values, u.grid.h
+    return ScalarField(u.grid, (shift(v, 1) - 2.0 * v + shift(v, -1)) / (h * h))

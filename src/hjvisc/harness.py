@@ -70,7 +70,6 @@ class SweepResult:
     records: tuple[SweepRecord, ...]
     alpha: float
     fitted_slope: float
-    fitted_intercept: float
     r_squared: float
     failed_lambdas: tuple[float, ...] = ()
 
@@ -143,7 +142,7 @@ def run_sweep(model: HamiltonianModel, alpha: float,
     for that) and the Lax-Friedrichs scheme for any other model, including
     a potential that merely looks like the pendulum. A failing point is dropped from
     the records and reported in failed_lambdas. All-zero gaps (flat model)
-    fit degenerately to slope = intercept = r_squared = 0.
+    fit degenerately to slope = r_squared = 0.
     """
     lams = check_lambdas(lam_list, 1)
     if not lams[0] < 1.0:
@@ -164,10 +163,10 @@ def run_sweep(model: HamiltonianModel, alpha: float,
 
     fit_pts = [(r.lam, r.sup_diff) for r in records if r.sup_diff > 0.0]
     if len(fit_pts) >= 3:
-        slope, intercept, r2 = fit_loglog_slope(fit_pts)
+        slope, _, r2 = fit_loglog_slope(fit_pts)
     else:
-        slope, intercept, r2 = 0.0, 0.0, 0.0
-    return SweepResult(tuple(records), alpha, slope, intercept, r2, tuple(failed))
+        slope, r2 = 0.0, 0.0
+    return SweepResult(tuple(records), alpha, slope, r2, tuple(failed))
 
 
 def check_upper_bound(records: Sequence[SweepRecord]) -> float:
@@ -208,7 +207,8 @@ def _uniform_constant(ratios: np.ndarray, which: str) -> float:
     return float(ratios.max()) if live.size else 0.0
 
 
-def _g17(v: float) -> str:
+def g17(v: float) -> str:
+    """v with 17 significant digits, the round-trip form of every printed float."""
     return format(float(v), ".17g")
 
 
@@ -217,10 +217,10 @@ def sweep_to_csv(result: SweepResult) -> str:
     lines = ["lambda,epsilon,sup_diff,diff_at_zero,c_delta_ratio,newton_iters"]
     for r in result.records:
         lines.append(",".join([
-            _g17(r.lam), _g17(r.epsilon), _g17(r.sup_diff),
-            _g17(r.diff_at_zero), _g17(r.c_delta_ratio), str(r.newton_iters),
+            g17(r.lam), g17(r.epsilon), g17(r.sup_diff),
+            g17(r.diff_at_zero), g17(r.c_delta_ratio), str(r.newton_iters),
         ]))
-    lines.append(f"# alpha={_g17(result.alpha)}")
-    lines.append(f"# fitted_slope={_g17(result.fitted_slope)}")
-    lines.append(f"# r_squared={_g17(result.r_squared)}")
+    lines.append(f"# alpha={g17(result.alpha)}")
+    lines.append(f"# fitted_slope={g17(result.fitted_slope)}")
+    lines.append(f"# r_squared={g17(result.r_squared)}")
     return "\n".join(lines) + "\n"

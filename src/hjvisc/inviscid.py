@@ -18,8 +18,8 @@ import math
 import numpy as np
 
 from .core import (ConvergenceError, Grid1D, HamiltonianModel, ScalarField, SolveReport,
-                   check_index, check_positive)
-from .viscous import _half_node_drift, solve_viscous
+                   check_index, check_positive, forward_difference)
+from .viscous import solve_viscous
 
 RADICAND_REJECT = -1e-8
 MAX_SWEEPS = 200
@@ -93,7 +93,7 @@ def solve_discounted_lax_friedrichs(model: HamiltonianModel, lam: float, grid: G
     u, report = solve_viscous(model, lam, 0.5 * sigma * grid.h, grid)
     report.require_converged(
         f"the Lax-Friedrichs scheme at sigma = {sigma:.3e} (retry with a larger sigma)")
-    speed = float(np.max(np.abs(_half_node_drift(grid, u.values))))
+    speed = float(np.max(np.abs(forward_difference(u.values, grid.h))))
     if speed > sigma:
         raise ConvergenceError(
             f"max |dH/dp| = {speed:.3e} on the solution exceeds sigma = {sigma:.3e}, "

@@ -27,7 +27,8 @@ import numpy as np
 
 from .adjoint import drift_field
 from .core import (DensityField, Grid1D, HamiltonianModel, ScalarField, check_lambdas,
-                   check_nonnegative, check_positive, check_unit_mass, discrete_laplacian)
+                   check_nonnegative, check_positive, check_unit_mass, discrete_laplacian,
+                   forward_difference, shift)
 from .viscous import solve_viscous
 
 
@@ -101,16 +102,17 @@ def extract_measure(model: HamiltonianModel, u: ScalarField,
 
     Support points are the n half nodes (x_{j+1/2}, b_{j+1/2}), b the drift
     of adjoint.drift_field; the weight at x_{j+1/2} is h*(theta_j + theta_{j+1})/2,
-    renormalized to sum exactly 1.
+    renormalized to sum exactly 1. ``model`` is unread; the benchmark
+    workloads pass it positionally.
     """
     if not isinstance(theta, DensityField):
         raise ValueError("theta must be a DensityField")
     if u.grid != theta.grid:
         raise ValueError("u and theta live on different grids")
     grid = u.grid
-    weights = 0.5 * grid.h * (theta.values + np.roll(theta.values, -1))
+    weights = 0.5 * grid.h * (theta.values + shift(theta.values, 1))
     weights = weights / float(weights.sum())
-    return DiscreteMeasure(grid.x + 0.5 * grid.h, drift_field(model, u).values, weights)
+    return DiscreteMeasure(grid.x_half, drift_field(model, u).values, weights)
 
 
 def measure_action(mu: DiscreteMeasure, model: HamiltonianModel) -> float:
@@ -132,12 +134,10 @@ def closedness_defect(mu: DiscreteMeasure, eps: float,
     check_nonnegative("eps", eps)
     grid = test_fn.grid
     idx = np.rint(mu.positions / grid.h - 0.5).astype(int) % grid.n
-    half_nodes = grid.x + 0.5 * grid.h
-    if float(np.max(np.abs(half_nodes[idx] - np.mod(mu.positions, grid.length)))) > 1e-9:
+    if float(np.max(np.abs(grid.x_half[idx] - np.mod(mu.positions, grid.length)))) > 1e-9:
         raise ValueError("measure support does not sit on the test field's half nodes")
-    phi = test_fn.values
-    dphi = (np.roll(phi, -1) - phi) / grid.h
+    dphi = forward_difference(test_fn.values, grid.h)
     lphi = discrete_laplacian(test_fn).values
-    lphi = 0.5 * (lphi + np.roll(lphi, -1))
+    lphi = 0.5 * (lphi + shift(lphi, 1))
     integrand = mu.velocities * dphi[idx] - eps * lphi[idx]
     return float(abs(np.sum(mu.weights * integrand)))

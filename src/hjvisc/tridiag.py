@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .core import ConvergenceError
+from .core import ConvergenceError, shift
 
 RESIDUAL_TOL = 1e-12
 
@@ -54,9 +54,7 @@ class CyclicTridiagonalMatrix:
         return self.diag.shape[0]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return (self.diag * x
-                + self.sub * np.roll(x, 1)
-                + self.super * np.roll(x, -1))
+        return self.diag * x + self.sub * shift(x, -1) + self.super * shift(x, 1)
 
     def dense(self) -> np.ndarray:
         """Materialize the full matrix; meant for small oracle comparisons."""
@@ -69,8 +67,8 @@ class CyclicTridiagonalMatrix:
         return a
 
     def transpose(self) -> CyclicTridiagonalMatrix:
-        return CyclicTridiagonalMatrix(diag=self.diag, sub=np.roll(self.super, 1),
-                                       super=np.roll(self.sub, -1))
+        return CyclicTridiagonalMatrix(diag=self.diag, sub=shift(self.super, -1),
+                                       super=shift(self.sub, 1))
 
 
 def factor_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray):

@@ -5,7 +5,7 @@ The discrete problem is
     F_j(u) = lambda*u_j + (H(x_{j+1/2}, D+u_j) + H(x_{j-1/2}, D-u_j))/2 - eps*Lu_j = 0,
 
 with D+u_j = (u_{j+1} - u_j)/h, D-u_j = D+u_{j-1}, x_{j+1/2} = x_j + h/2 and
-Lu the periodic central Laplacian from core. Averaging H over the two
+Lu the periodic central Laplacian, all from core's one periodic shift. Averaging H over the two
 one-sided gradients keeps the scheme second order and, unlike H(x_j, Du_j)
 at the central gradient, lets the Hamiltonian see the node-alternating mode
 (-1)^j. V at the half nodes is taken once per Newton run; the Jacobian
@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Grid1D, HamiltonianModel, ScalarField, SolveReport, check_positive
+from .core import (Grid1D, HamiltonianModel, ScalarField, SolveReport, check_positive,
+                   forward_difference, shift)
 from .tridiag import CyclicTridiagonalMatrix, solve_cyclic_tridiagonal
 
 DAMPING = 0.5
@@ -40,23 +41,18 @@ TOL = 1e-10
 def _residual_arr(model: HamiltonianModel, v_half: np.ndarray, h: float, u: np.ndarray,
                   lam: float, eps: float) -> np.ndarray:
     """F_j = lambda*u_j + (G_{j+1/2} + G_{j-1/2})/2 - eps*Lu_j, G_{j+1/2} = H(x_{j+1/2}, D+u_j)."""
-    up = np.concatenate((u[1:], u[:1]))  # slice copies: cheaper than np.roll
-    lap = (up - 2.0 * u + np.concatenate((u[-1:], u[:-1]))) / (h * h)
+    up = shift(u, 1)  # u_{j+1}, shared by D+u and Lu
+    lap = (up - 2.0 * u + shift(u, -1)) / (h * h)
     # G in model.h's order, (p^2/2 + V) + level, from v_half = V(x_{j+1/2}) taken once per
     # Newton run; F accumulates in place to spare the hot path n-length temporaries
     g = 0.5 * ((up - u) / h) ** 2
     g += v_half
     g += model.level
-    g += np.concatenate((g[-1:], g[:-1]))
+    g += shift(g, -1)
     g *= 0.5
     g += lam * u
     g -= eps * lap
     return g
-
-
-def _half_node_drift(grid: Grid1D, u: np.ndarray) -> np.ndarray:
-    """b_{j+1/2} = dH/dp(x_{j+1/2}, D+u_j) = D+u_j, since H = p^2/2 + V(x)."""
-    return (np.concatenate((u[1:], u[:1])) - u) / grid.h
 
 
 def drift_diffusion_bands(grid: Grid1D, b_half: np.ndarray, lam: float,
@@ -69,16 +65,11 @@ def drift_diffusion_bands(grid: Grid1D, b_half: np.ndarray, lam: float,
     the Newton Jacobian; its transpose is the adjoint (Fokker-Planck) operator.
     """
     h = grid.h
-    bm = np.concatenate((b_half[-1:], b_half[:-1]))  # b_{j-1/2}
+    bm = shift(b_half, -1)  # b_{j-1/2}
     visc = eps / (h * h)
     return CyclicTridiagonalMatrix(diag=lam + 2.0 * visc + (bm - b_half) / (2.0 * h),
                                    sub=-bm / (2.0 * h) - visc,
                                    super=b_half / (2.0 * h) - visc)
-
-
-def _jacobian_arr(grid: Grid1D, u: np.ndarray, lam: float,
-                  eps: float) -> CyclicTridiagonalMatrix:
-    return drift_diffusion_bands(grid, _half_node_drift(grid, u), lam, eps)
 
 
 def _expansion_free(sub: np.ndarray, sup: np.ndarray) -> bool:
@@ -95,15 +86,14 @@ def _expansion_free(sub: np.ndarray, sup: np.ndarray) -> bool:
 def viscous_residual(model: HamiltonianModel, u: ScalarField, lam: float,
                      eps: float) -> ScalarField:
     """Pointwise residual lambda*u + (H(D+u) + H(D-u))/2 - eps*Lu of a candidate field."""
-    v_half = model.potential(u.grid.x + 0.5 * u.grid.h)
+    v_half = model.potential(u.grid.x_half)
     return ScalarField(u.grid, _residual_arr(model, v_half, u.grid.h, u.values, lam, eps))
 
 
-def viscous_jacobian(model: HamiltonianModel, u: ScalarField, lam: float,
-                     eps: float) -> CyclicTridiagonalMatrix:
-    """Exact Jacobian of the residual at u: drift_diffusion_bands at the
-    half-node drift b_{j+1/2} = dH/dp(x_{j+1/2}, D+u_j) = D+u_j."""
-    return _jacobian_arr(u.grid, u.values, lam, eps)
+def viscous_jacobian(u: ScalarField, lam: float, eps: float) -> CyclicTridiagonalMatrix:
+    """Exact Jacobian of the residual at u, for every model: drift_diffusion_bands
+    at the half-node drift b_{j+1/2} = dH/dp(x_{j+1/2}, D+u_j) = D+u_j."""
+    return drift_diffusion_bands(u.grid, forward_difference(u.values, u.grid.h), lam, eps)
 
 
 def _newton(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
@@ -115,17 +105,18 @@ def _newton(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
     non-finite start raises ValueError.
     """
     u = u0.copy()
-    v_half = model.potential(grid.x + 0.5 * grid.h)
+    v_half = model.potential(grid.x_half)
     res = _residual_arr(model, v_half, grid.h, u, lam, eps)
     rnorm = float(np.max(np.abs(res)))
     if not np.isfinite(rnorm):
         raise ValueError(f"residual at the starting field is {rnorm!r}: the model is not finite")
     it = 0
-    ulp_scale = 4.0 * eps / grid.h ** 2  # floor(u) = ulp_scale * ulp(max|u|)
+    ulp_scale = 4.0 * eps / (grid.h * grid.h)  # floor(u) = ulp_scale * ulp(max|u|)
     while rnorm > max(TOL, ulp_scale * float(np.spacing(np.max(np.abs(u))))):
         if it == MAX_NEWTON_ITERS:
             return u, it, rnorm, False
-        step = solve_cyclic_tridiagonal(_jacobian_arr(grid, u, lam, eps), -res)
+        step = solve_cyclic_tridiagonal(
+            drift_diffusion_bands(grid, forward_difference(u, grid.h), lam, eps), -res)
         it += 1
         t = 1.0
         while True:
@@ -139,7 +130,7 @@ def _newton(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
             if t < MIN_DAMPING_STEP:
                 # stalled: no damped step reduces the residual
                 return u, it, rnorm, False
-    jac = _jacobian_arr(grid, u, lam, eps)
+    jac = drift_diffusion_bands(grid, forward_difference(u, grid.h), lam, eps)
     return u, it, rnorm, _expansion_free(jac.sub, jac.super)
 
 

@@ -91,7 +91,7 @@ def test_random_potentials_solve_finite_and_adjoint_is_transpose(coeffs, lam, n,
     assert abs(grid.h * float(theta.values.sum()) - 1.0) <= 1e-12
     rhs = np.zeros(n)
     rhs[x0] = lam / (grid.h * theta.renorm_factor)
-    jac_t = hv.viscous_jacobian(model, u, lam, eps).transpose()
+    jac_t = hv.viscous_jacobian(u, lam, eps).transpose()
     assert np.max(np.abs(jac_t.matvec(theta.values) - rhs)) <= 1e-9 * rhs[x0]
 
 
@@ -171,7 +171,7 @@ def test_stationary_system_is_jacobian_transpose(pendulum, std_run):
     at both sources: the adjoint solves the transpose, not a neighbour of it."""
     lam, eps = std_run["lam"], std_run["eps"]
     grid = std_run["grid"]
-    jac_t = hv.viscous_jacobian(pendulum, std_run["u"], lam, eps).transpose()
+    jac_t = hv.viscous_jacobian(std_run["u"], lam, eps).transpose()
     for theta, x0 in ((std_run["theta0"], 0),
                       (std_run["theta_half"], grid.n // 2)):
         rhs = np.zeros(grid.n)
@@ -423,12 +423,12 @@ def test_averaged_drift_closed_forms(pendulum):
     u1, _ = hv.solve_viscous(pendulum, 0.1, 0.05, grid)
     u2, _ = hv.solve_viscous(pendulum, 0.1, 0.02, grid)
 
-    same = hv.averaged_drift(u1, u1, pendulum)
+    same = hv.averaged_drift(u1, u1)
     direct = hv.drift_field(pendulum, u1)
     assert float(np.max(np.abs(same.values - direct.values))) <= 1e-12
 
     # H_p = p is linear, so the r-integral is the midpoint of D+ exactly
-    mid = hv.averaged_drift(u1, u2, pendulum)
+    mid = hv.averaged_drift(u1, u2)
     expect = 0.5 * ((np.roll(u1.values, -1) - u1.values)
                     + (np.roll(u2.values, -1) - u2.values)) / grid.h
     assert float(np.max(np.abs(mid.values - expect))) <= 1e-12
@@ -443,7 +443,7 @@ def test_averaged_drift_closed_forms(pendulum):
 
     other = hv.ScalarField(hv.Grid1D(64), np.zeros(64))
     with pytest.raises(ValueError):
-        hv.averaged_drift(u1, other, pendulum)
+        hv.averaged_drift(u1, other)
 
 
 def test_entropy_closed_forms():

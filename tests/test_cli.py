@@ -166,9 +166,12 @@ def test_dump_config_still_validates(capsys):
     assert "alpha" in capsys.readouterr().err
 
 
-def test_solver_divergence_exits_two(capsys):
-    # sigma far below the gradient bound breaks the sweep monotonicity
-    rc = cli.main(["solve-inviscid", "--lambda", "0.05", "--method", "lf",
+def test_solver_divergence_exits_two(tmp_path, capsys):
+    # the pendulum's samples as an inline potential take Lax-Friedrichs; sigma
+    # far below the gradient bound breaks its monotonicity
+    cfg = tmp_path / "pendulum-samples.json"
+    cfg.write_text(json.dumps({"potential": (np.cos(Grid1D(256).x) - 1.0).tolist()}))
+    rc = cli.main(["solve-inviscid", "--config", str(cfg), "--lambda", "0.05",
                    "--sigma", "0.05", "--n", "256"])
     assert rc == 2
     err = capsys.readouterr().err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import hjvisc as hv
+from hjvisc.core import forward_difference, shift
 
 
 def test_grid_basic_geometry():
@@ -137,6 +138,37 @@ def test_stencils_are_second_order():
     for coarse, fine in ((e256, e512), (e512, e1024)):
         assert 3.5 <= coarse[0] / fine[0] <= 4.5
         assert 3.5 <= coarse[1] / fine[1] <= 4.5
+
+
+@pytest.mark.parametrize("n", [8, 9, 681])
+def test_shift_is_the_periodic_roll(n):
+    v = np.arange(3 * n, dtype=float).reshape(n, 3) ** 1.5
+    for arr in (v[:, 0], v):
+        assert np.array_equal(shift(arr, 1), np.roll(arr, -1, axis=0))
+        assert np.array_equal(shift(arr, -1), np.roll(arr, 1, axis=0))
+
+
+def test_forward_difference_is_the_half_node_drift():
+    g = hv.Grid1D(681)
+    u = hv.ScalarField(g, np.sin(g.x) + 0.3 * np.cos(2.0 * g.x))
+    d_plus = forward_difference(u.values, g.h)
+    assert np.array_equal(d_plus, hv.drift_field(hv.pendulum_hamiltonian(), u).values)
+
+    # second order at x_{j+1/2}: halving h divides the error by about 4
+    errs = []
+    for n in (256, 512, 1024):
+        g = hv.Grid1D(n)
+        errs.append(np.max(np.abs(forward_difference(np.cos(g.x), g.h) + np.sin(g.x_half))))
+    assert 3.9 <= errs[0] / errs[1] <= 4.1 and 3.9 <= errs[1] / errs[2] <= 4.1
+
+
+def test_laplacian_divides_by_h_times_h():
+    # at n = 681, h**2 and h*h differ in the last bit; the stencil uses h*h
+    g = hv.Grid1D(681)
+    assert g.h ** 2 != g.h * g.h
+    v = np.cos(g.x)
+    expect = (np.roll(v, -1) - 2.0 * v + np.roll(v, 1)) / (g.h * g.h)
+    assert np.array_equal(hv.discrete_laplacian(hv.ScalarField(g, v)).values, expect)
 
 
 def test_gradient_sees_the_periodic_seam():

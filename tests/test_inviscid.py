@@ -132,7 +132,7 @@ def test_lax_friedrichs_monotone_update(pendulum):
     lam, sigma = 0.1, 3.0
     eps = 0.5 * sigma * g.h
     assert np.max(np.abs(hv.drift_field(pendulum, base).values)) <= sigma
-    jac = hv.viscous_jacobian(pendulum, base, lam, eps)
+    jac = hv.viscous_jacobian(base, lam, eps)
     assert np.all(jac.sub <= 0.0) and np.all(jac.super <= 0.0)
     ref = hv.viscous_residual(pendulum, base, lam, eps).values
     for k in (0, 7, 33, 50):

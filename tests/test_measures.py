@@ -158,7 +158,7 @@ def test_eps_closedness_is_exact_for_the_jacobian(pendulum, std_run):
     """h*sum theta_j*(J phi - lambda*phi)_j = lambda*(phi(x0) - h*sum theta_j*phi_j),
     J the Newton Jacobian, to 1e-9 relative to lambda at both sources."""
     lam, eps, grid = std_run["lam"], std_run["eps"], std_run["grid"]
-    jac = hv.viscous_jacobian(pendulum, std_run["u"], lam, eps)
+    jac = hv.viscous_jacobian(std_run["u"], lam, eps)
     for phi in (np.sin(grid.x), np.cos(2.0 * grid.x)):
         for theta, x0 in ((std_run["theta0"], 0),
                           (std_run["theta_half"], grid.n // 2)):

@@ -114,6 +114,21 @@ def test_no_module_uses_scipy_sparse():
     assert users == []
 
 
+def test_stencils_wrap_only_through_core_and_modules_share_only_public_names():
+    # core.shift is the one periodic wrap; no module reaches into another's
+    # underscore names
+    src = Path(hv.__file__).parent
+    rolls = [p.name for p in sorted(src.glob("*.py")) if "np.roll" in p.read_text()]
+    assert rolls == []
+    private = [f"{p.name}: {node.module}.{alias.name}"
+               for p in sorted(src.glob("*.py"))
+               for node in ast.walk(ast.parse(p.read_text()))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").startswith("hjvisc"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
 def test_no_module_checks_with_assert_statements():
     # python -O strips assert statements; every check in the package must raise
     src = Path(hv.__file__).parent

@@ -33,7 +33,7 @@ def test_jacobian_structure(pendulum):
     g = hv.Grid1D(32)
     lam, eps = 0.3, 0.07
     zero = hv.ScalarField(g, np.zeros(32))
-    jac = hv.viscous_jacobian(hv.flat_hamiltonian(), zero, lam, eps)
+    jac = hv.viscous_jacobian(zero, lam, eps)
     k = eps / g.h ** 2
     assert np.max(np.abs(jac.diag - (lam + 2.0 * k))) <= 1e-12
     assert np.max(np.abs(jac.sub + k)) <= 1e-12
@@ -42,7 +42,7 @@ def test_jacobian_structure(pendulum):
     # advective terms cancel in each row sum, leaving exactly lambda
     rng = np.random.RandomState(7)
     u = hv.ScalarField(g, 0.3 * rng.standard_normal(32))
-    jac = hv.viscous_jacobian(pendulum, u, lam, eps)
+    jac = hv.viscous_jacobian(u, lam, eps)
     row_sums = jac.diag + jac.sub + jac.super
     assert np.max(np.abs(row_sums - lam)) <= 1e-10
 
@@ -54,7 +54,7 @@ def test_jacobian_matches_finite_differences(pendulum, potential):
     lam, eps, step = 0.3, 0.07, 1e-6
     rng = np.random.RandomState(7)
     base = 0.3 * rng.standard_normal(32)
-    jac = hv.viscous_jacobian(model, hv.ScalarField(g, base), lam, eps).dense()
+    jac = hv.viscous_jacobian(hv.ScalarField(g, base), lam, eps).dense()
     num = np.zeros_like(jac)
     for j in range(32):
         up = base.copy()
@@ -175,7 +175,7 @@ def test_underresolved_viscosity_is_flagged_not_faked(pendulum, grid2048):
     assert not report.converged
     assert report.continuation_steps >= 1
     assert report.final_residual_inf <= 1e-10
-    jac = hv.viscous_jacobian(pendulum, u, lam, eps)
+    jac = hv.viscous_jacobian(u, lam, eps)
     assert int(np.sum((jac.sub > 0.0) & (jac.super > 0.0))) == 1
 
 
@@ -212,7 +212,7 @@ def test_floor_stop_agrees_with_extended_precision(pendulum, n, lam, eps):
     ref = u.values.astype(np.longdouble)
     for _ in range(3):
         res = _residual_longdouble(pendulum, g, ref, lam, eps)
-        jac = hv.viscous_jacobian(pendulum, hv.ScalarField(g, ref.astype(float)), lam, eps)
+        jac = hv.viscous_jacobian(hv.ScalarField(g, ref.astype(float)), lam, eps)
         ref = ref + hv.solve_cyclic_tridiagonal(jac, -res.astype(float))
     ref_res = float(np.max(np.abs(_residual_longdouble(pendulum, g, ref, lam, eps))))
     assert ref_res <= 1e-2 * report.final_residual_inf
@@ -231,7 +231,7 @@ def test_continuation_rescues_failed_cold_start():
     assert report.converged
     assert report.continuation_steps >= 1
     assert np.max(np.abs(hv.viscous_residual(model, u, lam, eps).values)) <= 1e-10
-    jac = hv.viscous_jacobian(model, u, lam, eps)
+    jac = hv.viscous_jacobian(u, lam, eps)
     assert not np.any((jac.sub > 0.0) & (jac.super > 0.0))
 
 
