@@ -10,9 +10,8 @@ from .tridiag import CyclicTridiagonalMatrix, solve_cyclic_tridiagonal
 from .viscous import solve_viscous, viscous_jacobian, viscous_residual
 from .inviscid import (checked_radicand, solve_discounted_lax_friedrichs,
                        solve_pendulum_ode)
-from .adjoint import (averaged_drift, drift_field, entropy_diagnostic,
-                      evolve_fokker_planck, solve_adjoint_stationary,
-                      stationary_from_transient)
+from .adjoint import (averaged_drift, drift_field, evolve_fokker_planck,
+                      solve_adjoint_stationary, stationary_from_transient)
 from .measures import (DiscreteMeasure, closedness_defect,
                        estimate_ergodic_constant, extract_measure,
                        measure_action)
@@ -30,7 +29,7 @@ __all__ = [
     "CyclicTridiagonalMatrix", "solve_cyclic_tridiagonal",
     "solve_viscous", "viscous_jacobian", "viscous_residual",
     "checked_radicand", "solve_discounted_lax_friedrichs", "solve_pendulum_ode",
-    "averaged_drift", "drift_field", "entropy_diagnostic", "evolve_fokker_planck",
+    "averaged_drift", "drift_field", "evolve_fokker_planck",
     "solve_adjoint_stationary", "stationary_from_transient",
     "DiscreteMeasure", "closedness_defect", "estimate_ergodic_constant",
     "extract_measure", "measure_action",

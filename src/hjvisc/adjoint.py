@@ -19,8 +19,11 @@ The same operator drives the Fokker-Planck evolution
 
 stepped by implicit Euler (mass-exact), and theta is recovered from it by the
 discounted time average lim_T int_0^T lambda*exp(-lambda*t) rho(., t) dt.
-The step matrix P is constant, so a long stream is averaged in blocks of n
-exact steps through the n x n propagator P^n, built once (O(n^3) work).
+The step matrix S = I + dt*G is constant, so past its first n steps a long
+stream is averaged in closed form: a geometric sum of the propagator
+P = S^-1, one cyclic tridiagonal solve with S - e^{-lambda dt} I, plus the
+unrelaxed tail taken from binary powers of the dense P (O(n^3 log steps)
+work in BLAS products).
 """
 
 from __future__ import annotations
@@ -31,8 +34,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import (ConvergenceError, DensityField, Grid1D, HamiltonianModel,
-                   ScalarField, check_index, check_positive, check_unit_mass,
-                   forward_difference)
+                   ScalarField, check_index, check_positive, forward_difference)
 from .tridiag import (CyclicTridiagonalMatrix, factor_cyclic_tridiagonal,
                       solve_cyclic_tridiagonal)
 from .viscous import drift_diffusion_bands, viscous_jacobian
@@ -87,12 +89,14 @@ def solve_adjoint_stationary(model: HamiltonianModel, u: ScalarField, lam: float
 
 class FokkerPlanckStream:
     """Lazy implicit-Euler snapshots (t_k, rho_k), t_k = k*dt, k = 0..steps,
-    each validated through DensityField. Holds the factorized step
-    rho -> P rho, dt and the step count; it starts from the Dirac at x0_index."""
+    each validated through DensityField. Holds the step matrix S, its
+    factorization rho -> P rho = S^-1 rho, dt and the step count; it starts
+    from the Dirac at x0_index."""
 
-    def __init__(self, grid: Grid1D, step, dt: float, steps: int,
-                 x0_index: int) -> None:
-        self.grid, self.step, self.dt, self.steps = grid, step, dt, steps
+    def __init__(self, grid: Grid1D, matrix: CyclicTridiagonalMatrix, dt: float,
+                 steps: int, x0_index: int) -> None:
+        self.grid, self.matrix, self.dt, self.steps = grid, matrix, dt, steps
+        self.step = factor_cyclic_tridiagonal(matrix)
         self._k = -1                  # index of the last snapshot yielded
         self._rho = np.zeros(grid.n)  # that snapshot, or the Dirac before it
         self._rho[x0_index] = 1.0 / grid.h
@@ -136,9 +140,9 @@ def evolve_fokker_planck(drift: ScalarField, eps: float, x0_index: int,
 
     # -(D[b*.] + eps*L): the Jacobian's stencil at lambda = 0, transposed
     gen = drift_diffusion_bands(grid, drift.values, 0.0, eps).transpose()
-    step = factor_cyclic_tridiagonal(CyclicTridiagonalMatrix(
-        diag=1.0 + dt * gen.diag, sub=dt * gen.sub, super=dt * gen.super))
-    return FokkerPlanckStream(grid, step, dt, int(round(t_final / dt)), x0_index)
+    matrix = CyclicTridiagonalMatrix(diag=1.0 + dt * gen.diag, sub=dt * gen.sub,
+                                     super=dt * gen.super)
+    return FokkerPlanckStream(grid, matrix, dt, int(round(t_final / dt)), x0_index)
 
 
 def _trapezoid_weights(lam: float, dt: float) -> tuple[float, float]:
@@ -149,47 +153,43 @@ def _trapezoid_weights(lam: float, dt: float) -> tuple[float, float]:
     return (1.0 - e) - coef_b, coef_b
 
 
-def _check_unit_sources(grid: Grid1D, cols: np.ndarray) -> None:
-    """DensityField's rules on each snapshot cols[:, j]/h of a unit source
-    (a non-finite column has a non-finite mass)."""
-    mass = cols.sum(axis=0)
-    check_unit_mass("density", float(mass[np.argmax(np.abs(mass - 1.0))]),
-                    float(cols.min()) / grid.h)
+def _closed_form(stream: FokkerPlanckStream, lam: float):
+    """Average of the k steps from the stream's snapshot rho_0 at t_j to
+    step steps - 1, in units of e^{-lam t_j}, and the snapshot (t, rho_k)
+    there, at which the stream goes on.
 
-
-def _skip_blocks(stream: FokkerPlanckStream, lam: float):
-    """Average of the first B*m steps, m = n, B = (steps - 1) // m, and the
-    snapshot (t, rho) at step B*m, after which the stream goes on.
-
-    The average is sum_b e^{-lam b m dt} Q rho_{bm} = Q s, with Q =
-    sum_{i<m} e^{-lam i dt} (c_a P^i + c_b P^{i+1}): m trapezoid steps from
-    s, so Q is never formed. P^m is the identity stepped m times.
+    With P = S^-1 and q = e^{-lam dt}, the sum sum_{i<k} q^i (c_a rho_i +
+    c_b rho_{i+1}) is (c_a I + c_b P)(I - qP)^-1 (rho_0 - q^k rho_k), and
+    (I - qP)^-1 v = (S - qI)^-1 S v. rho_k applies the binary powers of P,
+    stepped from the identity in column chunks and squared into one spare
+    buffer. S - qI is within 1 - q of singular along the invariant density,
+    where the solve's roundoff grows by 1/(1 - q); the mass sum(v)/(1 - q)
+    that a column-stochastic P fixes is restored along rho_k.
     """
-    grid, step, dt = stream.grid, stream.step, stream.dt
-    n = m = grid.n
-    prop = np.empty((n, n))
+    grid, matrix, step, dt = stream.grid, stream.matrix, stream.step, stream.dt
+    n, k = grid.n, stream.steps - 1 - stream._k
+    power = np.empty((n, n))
     for lo in range(0, n, _CHUNK):
-        cols = np.eye(n, min(_CHUNK, n - lo), -lo)
-        for _ in range(m):
-            cols = step(cols)
-            _check_unit_sources(grid, cols)
-        prop[:, lo:lo + cols.shape[1]] = cols
+        power[:, lo:lo + _CHUNK] = step(np.eye(n, min(_CHUNK, n - lo), -lo))
+    spare, rho, bits = np.empty((n, n)), stream._rho, k
+    while bits:
+        if bits & 1:
+            rho = power @ rho
+        bits >>= 1
+        if bits:
+            np.matmul(power, power, out=spare)
+            power, spare = spare, power
+    field = DensityField(grid, rho)
 
-    rho, s, blocks = stream._rho, np.zeros(n), (stream.steps - 1) // m
-    for b in range(blocks):
-        s += math.exp(-lam * (b * m * dt)) * rho
-        field = DensityField(grid, prop @ rho)
-        rho = field.values
-    stream._k, stream._rho = blocks * m, rho
-
+    q = math.exp(-lam * dt)
+    shifted = CyclicTridiagonalMatrix(diag=matrix.diag - q, sub=matrix.sub,
+                                      super=matrix.super)
+    w = stream._rho - math.exp(-lam * (k * dt)) * rho
+    x = solve_cyclic_tridiagonal(shifted, matrix.matvec(w))
+    x += (w.sum() / -math.expm1(-lam * dt) - x.sum()) / rho.sum() * rho
     coef_a, coef_b = _trapezoid_weights(lam, dt)
-    acc = np.zeros(n)
-    for i in range(m):
-        nxt = step(s)
-        w = math.exp(-lam * (i * dt))
-        acc += (w * coef_a) * s + (w * coef_b) * nxt
-        s = nxt
-    return acc, (stream._k * dt, field)
+    stream._k, stream._rho = stream.steps - 1, rho
+    return coef_a * x + coef_b * step(x), (stream._k * dt, field)
 
 
 def stationary_from_transient(rho_sequence: Iterable[tuple[float, DensityField]],
@@ -203,29 +203,31 @@ def stationary_from_transient(rho_sequence: Iterable[tuple[float, DensityField]]
     output inherits unit mass. A horizon with e^{-lambda T} > 1e-6 (T below
     roughly 14/lambda) is rejected as too short to truncate.
 
-    An untouched FokkerPlanckStream of at least n**2 steps is averaged in
-    blocks of m = n implicit-Euler steps (_skip_blocks) and its last 1..m
-    steps are streamed; any other sequence is streamed snapshot by snapshot.
-    The blocked route checks every column of P^i, i = 1..m (the snapshot
-    from a unit source at each node), and every block boundary rho_{bm}.
-    A snapshot P^i rho_{bm} in between combines checked columns with weights
-    h*rho_{bm} that sum to 1 within 1e-8 and are >= -1e-12*h, so its mass is
-    within about 2e-8 of 1 and its entries are >= about -(n + 1)*1e-12.
+    A FokkerPlanckStream of at least n**2 steps, read from t = 0, whose step
+    matrix S has no positive off-diagonal is streamed for its first n steps
+    and its last one, and averaged in closed form in between (_closed_form);
+    any other sequence is streamed snapshot by snapshot. The first n steps
+    carry the Dirac's spike: streaming them sums it as a streamed sequence
+    does, so at nodes only the spike reaches (the source node, where the
+    criterion 06 gap is attained) the two routes often agree to the last
+    bit, and perfbench compares their gaps exactly. Such an S is an M-matrix
+    with unit column sums (Varga, "Matrix Iterative Analysis", 1962), so
+    P = S^-1 is nonnegative and column-stochastic: every snapshot the closed
+    form skips is a density up to roundoff and would pass DensityField's
+    checks. The snapshot it stops at and the average are still checked.
     """
     check_positive("lambda", lam)
 
-    acc, it = 0.0, iter(rho_sequence)
-    if (isinstance(rho_sequence, FokkerPlanckStream) and rho_sequence._k < 0
-            and rho_sequence.steps >= rho_sequence.grid.n ** 2):
-        acc, first = _skip_blocks(rho_sequence, lam)
-    else:
-        first = next(it, None)
-        if first is None:
-            raise ValueError("empty evolution sequence")
-        if first[0] != 0.0:
-            raise ValueError(f"evolution sequence must start at t = 0, got t = {first[0]!r}")
-    t_prev, rho_prev = first
-    dt_ref = None
+    seq = rho_sequence
+    closed = (isinstance(seq, FokkerPlanckStream) and seq.steps >= seq.grid.n ** 2
+              and max(seq.matrix.sub.max(), seq.matrix.super.max()) <= 0.0)
+    it = iter(seq)
+    first = next(it, None)
+    if first is None:
+        raise ValueError("empty evolution sequence")
+    if first[0] != 0.0:
+        raise ValueError(f"evolution sequence must start at t = 0, got t = {first[0]!r}")
+    acc, (t_prev, rho_prev), dt_ref = 0.0, first, None
     for t, rho in it:
         dt = t - t_prev
         if dt <= 0.0:
@@ -238,6 +240,9 @@ def stationary_from_transient(rho_sequence: Iterable[tuple[float, DensityField]]
         w = math.exp(-lam * t_prev)
         acc += (w * coef_a) * rho_prev.values + (w * coef_b) * rho.values
         t_prev, rho_prev = t, rho
+        if closed and seq._k == seq.grid.n:
+            jump, (t_prev, rho_prev) = _closed_form(seq, lam)
+            acc += math.exp(-lam * t) * jump
     if dt_ref is None:
         raise ValueError("evolution sequence needs at least two snapshots")
     tail = math.exp(-lam * t_prev)
@@ -262,12 +267,3 @@ def averaged_drift(u_eps: ScalarField, u_delta: ScalarField) -> ScalarField:
     return ScalarField(u_eps.grid, 0.5 * (forward_difference(u_eps.values, h)
                                           + forward_difference(u_delta.values, h)))
 
-
-def entropy_diagnostic(rho: DensityField) -> float:
-    """h * sum_j |log rho_j| * rho_j with rho clamped below at 1e-300.
-
-    A crude information-size gauge: log(1/h) for a one-node spike, log(2*pi)
-    for the uniform density on the default torus.
-    """
-    vals = np.maximum(rho.values, 1e-300)
-    return float(rho.grid.h * np.sum(np.abs(np.log(vals)) * rho.values))

@@ -61,9 +61,9 @@ def transient_pair(pendulum):
     transient flow at (lambda, eps) = (1.25e-3, 2.5e-2), n = 256, with
     horizon T = 20/lambda and dt = h.
 
-    Averages about 6.5e5 implicit Euler steps in blocks of n = 256 (about
-    half a second, against about 17 s when streamed one step at a time);
-    shared by the module test and the acceptance criterion.
+    Averages about 6.5e5 implicit Euler steps in closed form (a few
+    hundredths of a second, against about 17 s when streamed one step at a
+    time); shared by the module test and the acceptance criterion.
     """
     grid = hv.Grid1D(256)
     lam, eps = 1.25e-3, 2.5e-2

@@ -301,15 +301,18 @@ def _half_node_drift(grid, amplitudes):
        amplitudes=st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
                            min_size=1, max_size=3),
        eps_scale=st.floats(1.0, 8.0), lam=st.floats(0.05, 1.0),
-       source=st.floats(0.0, 1.0, exclude_max=True), extra=st.integers(0, 200))
-def test_blocked_average_equals_streamed(n, amplitudes, eps_scale, lam, source, extra):
+       source=st.floats(0.0, 1.0, exclude_max=True), extra=st.integers(0, 200),
+       horizon=st.sampled_from([14.0, 20.0]))
+def test_blocked_average_equals_streamed(n, amplitudes, eps_scale, lam, source, extra,
+                                         horizon):
     """Random trigonometric half-node drift at cell Peclet <= 1 and
-    dt = (20/lam)/k with k >= n**2 steps: averaging the stream in blocks of
-    n steps gives the streamed average."""
+    dt = T/k with k >= n**2 steps: the closed-form average gives the streamed
+    average. At T = 14/lam the unrelaxed tail e^-14 sits just under the
+    horizon gate, where the q^k rho_k term of the closed form is largest."""
     grid = hv.Grid1D(n)
     drift = _half_node_drift(grid, amplitudes)
     eps = eps_scale * max(grid.h * float(np.max(np.abs(drift.values))) / 2.0, 1e-3)
-    t_final = 20.0 / lam
+    t_final = horizon / lam
 
     def average(wrap):
         stream = hv.evolve_fokker_planck(drift, eps, int(source * n), t_final,
@@ -368,19 +371,23 @@ def test_blocked_and_streamed_routes_reject_alike(step_solves):
 
 
 def test_long_streams_take_the_blocked_route(step_solves):
-    """Streaming costs one solve per step, the blocked route a few per block
-    of n steps. A stream that has already yielded its t = 0 snapshot is
-    rejected before it is stepped further."""
+    """Streaming costs one solve per step, the closed form one per step of
+    its n-step streamed start plus a fixed few, whatever the step count. A
+    stream that has already yielded its t = 0 snapshot is rejected before it
+    is stepped further."""
     n, lam, t_final = 32, 0.5, 40.0
     drift = _half_node_drift(hv.Grid1D(n), [(0.3, 0.5)])
+    counts = {}
     for steps in (n * n - 1, n * n, 3 * n * n + 5):
         step_solves.clear()
         hv.stationary_from_transient(
             hv.evolve_fokker_planck(drift, 0.5, 0, t_final, t_final / steps), lam)
+        counts[steps] = len(step_solves)
         if steps >= n * n:
             assert len(step_solves) <= steps / 4, (steps, len(step_solves))
         else:
             assert len(step_solves) == steps
+    assert counts[n * n] == counts[3 * n * n + 5], counts
 
     started = hv.evolve_fokker_planck(drift, 0.5, 0, t_final, t_final / (n * n))
     next(started)
@@ -445,55 +452,3 @@ def test_averaged_drift_closed_forms(pendulum):
     with pytest.raises(ValueError):
         hv.averaged_drift(u1, other)
 
-
-def test_entropy_closed_forms():
-    n = 128
-    grid = hv.Grid1D(n)
-    uniform = hv.DensityField(grid, np.full(n, 1.0 / grid.length))
-    assert abs(hv.entropy_diagnostic(uniform) - math.log(hv.TWO_PI)) <= 1e-12
-    spike = np.zeros(n)
-    spike[5] = 1.0 / grid.h
-    d = hv.DensityField(grid, spike)
-    assert abs(hv.entropy_diagnostic(d) - abs(math.log(grid.h))) <= 1e-12
-
-
-def test_entropy_approaches_uniform_value_monotonically():
-    """|S(t) - log(2 pi)| shrinks along pure diffusion.
-
-    S itself is h*sum |log rho| rho and is not monotone (it dips below the
-    uniform value when rho crosses 1), so the distance to the limit is the
-    faithful monotone quantity.
-    """
-    n, eps = 128, 0.5
-    grid = hv.Grid1D(n)
-    drift = hv.ScalarField(grid, np.zeros(n))
-    target = math.log(hv.TWO_PI)
-    checkpoints = (0, 41, 163, 400)
-    gaps = []
-    for k, (t, rho) in enumerate(hv.evolve_fokker_planck(drift, eps, 0, 20.0)):
-        if k in checkpoints:
-            gaps.append(abs(hv.entropy_diagnostic(rho) - target))
-        if k >= checkpoints[-1]:
-            break
-    assert len(gaps) == 4
-    assert all(b < a for a, b in zip(gaps, gaps[1:])), gaps
-    assert gaps[-1] <= 1e-3
-
-
-def test_entropy_log_bound_over_grid():
-    """S(rho_t) <= c1 * (1 + |log eps| + |log t|) with one modest c1."""
-    n = 128
-    grid = hv.Grid1D(n)
-    drift = hv.ScalarField(grid, np.zeros(n))
-    ratios = []
-    for eps in (0.05, 0.2, 1.0):
-        targets = [0.5, 2.0, 8.0]
-        for t, rho in hv.evolve_fokker_planck(drift, eps, 0, 8.5):
-            if targets and abs(t - targets[0]) <= grid.h / 2.0:
-                bound = 1.0 + abs(math.log(eps)) + abs(math.log(targets[0]))
-                ratios.append(hv.entropy_diagnostic(rho) / bound)
-                targets.pop(0)
-            if not targets:
-                break
-    assert len(ratios) == 9
-    assert max(ratios) <= 1.5, max(ratios)
