@@ -1,15 +1,18 @@
-"""Tridiagonal systems: one LAPACK factorization, many solves.
+"""Tridiagonal systems: LAPACK's pivoted tridiagonal LU, once per matrix.
 
-factor_tridiagonal runs LAPACK's pivoted tridiagonal LU (?gttrf) once and
-returns a solver that applies it with ?gttrs. A periodic stencil produces a
-matrix that is tridiagonal except for the two corner entries A[0, n-1] and
-A[n-1, 0]. Writing A = T + outer(w, v) with T plainly tridiagonal reduces
-each solve to one solve with T and the Sherman-Morrison update
+A periodic stencil produces a matrix that is tridiagonal except for the two
+corner entries A[0, n-1] and A[n-1, 0]. Writing A = T + outer(w, v) with T
+plainly tridiagonal reduces each solve to solves with T and the
+Sherman-Morrison update
 
     x = y - z * (v . y) / (1 + v . z),   T y = r,  T z = w.
 
-factor_cyclic_tridiagonal factors T and solves T z = w once, so every later
-right-hand side costs one ?gttrs call plus the rank-one fix.
+solve_cyclic_tridiagonal, the one-rhs certified solve of every Newton step,
+eliminates T once for both columns of the block [w, r] in one ?gtsv call.
+factor_cyclic_tridiagonal, for many right-hand sides, factors T once with
+?gttrf (factor_tridiagonal) and solves T z = w, so every later right-hand
+side costs one ?gttrs call plus the rank-one fix. Both routes share the
+corner split (_split_corners) and the Sherman-Morrison denominator check.
 """
 
 from __future__ import annotations
@@ -87,14 +90,8 @@ def factor_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
     return solve
 
 
-def factor_cyclic_tridiagonal(matrix: CyclicTridiagonalMatrix):
-    """Factor the cyclic matrix once; returns rhs -> solution, for rhs of
-    shape (n,) or (n, k).
-
-    Raises ConvergenceError when the tridiagonal part has a zero pivot or the
-    Sherman-Morrison denominator vanishes (singular system). Solutions carry
-    no certificate; solve_cyclic_tridiagonal adds one.
-    """
+def _split_corners(matrix: CyclicTridiagonalMatrix) -> tuple[np.ndarray, np.ndarray, float]:
+    """(diagonal of T, w, ratio) with A = T + outer(w, v), v = e_0 + ratio*e_{n-1}."""
     n = matrix.n
     d = matrix.diag
     alpha = matrix.sub[0]       # row 0, column n-1
@@ -103,20 +100,37 @@ def factor_cyclic_tridiagonal(matrix: CyclicTridiagonalMatrix):
     d_mod = d.copy()
     d_mod[0] -= gamma
     d_mod[-1] -= alpha * beta / gamma
-    solve_t = factor_tridiagonal(matrix.sub[1:], d_mod, matrix.super[:-1])
     w = np.zeros(n)
     w[0] = gamma
     w[-1] = beta
-    # v = e_0 + (alpha/gamma) e_{n-1}
-    z = solve_t(w)
-    denom = 1.0 + z[0] + (alpha / gamma) * z[-1]
+    return d_mod, w, alpha / gamma
+
+
+def _denominator(z: np.ndarray, ratio: float) -> float:
+    """1 + v . z, the Sherman-Morrison denominator; ConvergenceError when it vanishes."""
+    denom = 1.0 + z[0] + ratio * z[-1]
     if abs(denom) < 1e-13:
         raise ConvergenceError("cyclic tridiagonal solve rejected: singular system "
                                "(rank-one correction denominator vanished)")
+    return denom
+
+
+def factor_cyclic_tridiagonal(matrix: CyclicTridiagonalMatrix):
+    """Factor the cyclic matrix once; returns rhs -> solution, for rhs of
+    shape (n,) or (n, k).
+
+    Raises ConvergenceError when the tridiagonal part has a zero pivot or the
+    Sherman-Morrison denominator vanishes (singular system). Solutions carry
+    no certificate; solve_cyclic_tridiagonal adds one.
+    """
+    d_mod, w, ratio = _split_corners(matrix)
+    solve_t = factor_tridiagonal(matrix.sub[1:], d_mod, matrix.super[:-1])
+    z = solve_t(w)
+    denom = _denominator(z, ratio)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         y = solve_t(rhs)
-        factor = (y[0] + (alpha / gamma) * y[-1]) / denom
+        factor = (y[0] + ratio * y[-1]) / denom
         return y - np.multiply.outer(z, factor)
 
     return solve
@@ -136,11 +150,10 @@ def solve_cyclic_tridiagonal(matrix: CyclicTridiagonalMatrix, rhs: np.ndarray) -
     amplification cap ||A||_inf * ||x||_inf <= 1e11 * ||rhs||_inf guards the
     blind spot of pure backward error: a singular system with consistent rhs
     admits arbitrarily large x with tiny backward error, yet any such x is
-    numerically meaningless. The solve is the one factorization of
-    factor_cyclic_tridiagonal; ConvergenceError is raised straight away when
-    the system is singular or near-singular (vanishing Sherman-Morrison
-    denominator, a zero pivot, a residual above the gate, or a tripped
-    amplification cap).
+    numerically meaningless. One ?gtsv call eliminates T for the block
+    [w, rhs]; ConvergenceError is raised straight away when the system is
+    singular or near-singular (vanishing Sherman-Morrison denominator, a
+    zero pivot, a residual above the gate, or a tripped amplification cap).
     """
     rhs = np.asarray(rhs, dtype=float)
     n = matrix.n
@@ -152,7 +165,16 @@ def solve_cyclic_tridiagonal(matrix: CyclicTridiagonalMatrix, rhs: np.ndarray) -
     rhs_scale = float(np.max(np.abs(rhs)))
     norm_a = float(np.max(np.abs(matrix.diag) + np.abs(matrix.sub) + np.abs(matrix.super)))
 
-    x = factor_cyclic_tridiagonal(matrix)(rhs)
+    d_mod, w, ratio = _split_corners(matrix)
+    block = np.empty((n, 2), order="F")
+    block[:, 0] = w
+    block[:, 1] = rhs
+    *_, zy, info = lapack.dgtsv(matrix.sub[1:], d_mod, matrix.super[:-1], block,
+                                overwrite_d=1, overwrite_b=1)
+    if info != 0:
+        raise ConvergenceError(f"tridiagonal factorization failed: zero pivot in row {info}")
+    z, y = zy[:, 0], zy[:, 1]
+    x = y - z * ((y[0] + ratio * y[-1]) / _denominator(z, ratio))
     res = float(np.max(np.abs(matrix.matvec(x) - rhs)))
     x_scale = float(np.max(np.abs(x)))
     if norm_a * x_scale > 1e11 * max(rhs_scale, 1e-300):

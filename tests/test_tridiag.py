@@ -108,7 +108,7 @@ def test_singular_laplacian_with_consistent_rhs_is_rejected():
 
 
 def test_no_module_uses_scipy_sparse():
-    # every banded solve goes through the one gttrf/gttrs factorization
+    # every banded solve goes through LAPACK's tridiagonal LU (?gtsv, ?gttrf/?gttrs)
     src = Path(hv.__file__).parent
     users = [p.name for p in sorted(src.glob("*.py")) if "scipy.sparse" in p.read_text()]
     assert users == []
@@ -155,6 +155,14 @@ def test_exact_zero_pivot_raises_convergence_error():
     du = np.array([0.0, 1.0, 1.0])
     with pytest.raises(hv.ConvergenceError, match="zero pivot"):
         factor_tridiagonal(dl, d, du)
+    # after the corner split, T of this cyclic matrix meets a zero pivot in
+    # row 2: the one-call certified solve and the factored solve reject it alike
+    m = CyclicTridiagonalMatrix(np.ones(4), np.array([0.0, 2.0, 0.0, 0.0]),
+                                np.array([1.0, 0.0, 0.0, 0.0]))
+    with pytest.raises(hv.ConvergenceError, match="zero pivot in row 2"):
+        solve_cyclic_tridiagonal(m, np.ones(4))
+    with pytest.raises(hv.ConvergenceError, match="zero pivot in row 2"):
+        factor_cyclic_tridiagonal(m)
 
 
 def test_input_validation():
