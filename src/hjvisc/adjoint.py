@@ -147,10 +147,13 @@ def evolve_fokker_planck(drift: ScalarField, eps: float, x0_index: int,
 
 def _trapezoid_weights(lam: float, dt: float) -> tuple[float, float]:
     """int_0^dt lam e^{-lam s} (1 - s/dt) ds and the mirrored weight: the
-    product-trapezoid weights (c_a, c_b) of a step's two end snapshots."""
+    product-trapezoid weights (c_a, c_b) of a step's two end snapshots.
+    1 - e^{-lam dt} comes from expm1, not from the rounded e^{-lam dt}, so
+    c_a + c_b is 1 - e^{-lam dt} to roundoff."""
     e = math.exp(-lam * dt)
-    coef_b = (1.0 - e) / (lam * dt) - e
-    return (1.0 - e) - coef_b, coef_b
+    one_minus_e = -math.expm1(-lam * dt)
+    coef_b = one_minus_e / (lam * dt) - e
+    return one_minus_e - coef_b, coef_b
 
 
 def _closed_form(stream: FokkerPlanckStream, lam: float):

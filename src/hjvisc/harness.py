@@ -21,7 +21,10 @@ CSV layout (one row per record, then a comment summary):
     # r_squared=...
 
 printed with 17 significant digits, bit-identical across reruns of one
-config.
+config. The points are solved in list order, each Newton run starting from
+the field of the last recorded point (natural-parameter continuation in
+lambda), so newton_iters counts the iterations from that warm start plus
+any cold-start fallback solve_viscous needed.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .adjoint import drift_field
-from .core import (ConvergenceError, Grid1D, HamiltonianModel, check_lambdas,
+from .core import (ConvergenceError, Grid1D, HamiltonianModel, ScalarField, check_lambdas,
                    check_positive, pendulum_hamiltonian)
 from .inviscid import solve_discounted_lax_friedrichs, solve_pendulum_ode
 from .viscous import solve_viscous
@@ -109,10 +112,10 @@ def fit_loglog_slope(points: Sequence[tuple[float, float]]) -> tuple[float, floa
     return float(slope), float(intercept), float(r2)
 
 
-def _sweep_point(model: HamiltonianModel, lam: float, alpha: float,
-                 grid: Grid1D) -> SweepRecord:
+def _sweep_point(model: HamiltonianModel, lam: float, alpha: float, grid: Grid1D,
+                 start: ScalarField | None) -> tuple[SweepRecord, ScalarField]:
     eps = lam ** (1.0 + alpha)
-    u_eps, report = solve_viscous(model, lam, eps, grid)
+    u_eps, report = solve_viscous(model, lam, eps, grid, start=start)
     report.require_converged(f"viscous solve at lambda = {lam:.6g}, eps = {eps:.6g}")
     if model == pendulum_hamiltonian():
         u_inv = solve_pendulum_ode(lam, grid.n // 2)
@@ -129,7 +132,7 @@ def _sweep_point(model: HamiltonianModel, lam: float, alpha: float,
         c_delta_ratio=float(np.max(gap)) * lam / eps,
         newton_iters=report.iterations,
         neg_gap=float(np.max(-gap)),
-    )
+    ), u_eps
 
 
 def run_sweep(model: HamiltonianModel, alpha: float,
@@ -140,9 +143,12 @@ def run_sweep(model: HamiltonianModel, alpha: float,
     The inviscid reference is the pendulum branch ODE when the model equals
     pendulum_hamiltonian() (sampled on the same torus nodes; n must be even
     for that) and the Lax-Friedrichs scheme for any other model, including
-    a potential that merely looks like the pendulum. A failing point is dropped from
-    the records and reported in failed_lambdas. All-zero gaps (flat model)
-    fit degenerately to slope = r_squared = 0.
+    a potential that merely looks like the pendulum. Each viscous solve
+    starts from the field of the last recorded point (solve_viscous's start);
+    the first point, with none recorded yet, starts cold, and a failed point
+    passes nothing on. A failing point is dropped from the records and
+    reported in failed_lambdas. All-zero gaps (flat model) fit degenerately
+    to slope = r_squared = 0.
     """
     lams = check_lambdas(lam_list, 1)
     if not lams[0] < 1.0:
@@ -155,11 +161,14 @@ def run_sweep(model: HamiltonianModel, alpha: float,
 
     records = []
     failed = []
+    start = None  # the field of the last recorded point
     for lam in lams:
         try:
-            records.append(_sweep_point(model, lam, alpha, grid))
+            record, start = _sweep_point(model, lam, alpha, grid, start)
         except ConvergenceError:
             failed.append(lam)
+        else:
+            records.append(record)
 
     fit_pts = [(r.lam, r.sup_diff) for r in records if r.sup_diff > 0.0]
     if len(fit_pts) >= 3:

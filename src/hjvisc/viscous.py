@@ -21,15 +21,18 @@ floor(u) passes TOL (Deuflhard, "Newton Methods for Nonlinear Problems",
 still counts as unconverged when its final Jacobian has an expansion row
 (see _expansion_free). A cold start that fails is always restarted from zero
 along a factor-2 descent in eps from 0.5, warm-starting each level with the
-previous solution.
+previous solution. A solve may also be handed a starting field (run_sweep
+passes each point the previous lambda's solution, natural-parameter
+continuation in Deuflhard's ch. 5): a converged Newton run from it is the
+answer, and a failed one falls back to the cold path.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import (Grid1D, HamiltonianModel, ScalarField, SolveReport, check_positive,
-                   forward_difference, shift)
+from .core import (ConvergenceError, Grid1D, HamiltonianModel, ScalarField, SolveReport,
+                   check_positive, forward_difference, shift)
 from .tridiag import CyclicTridiagonalMatrix, solve_cyclic_tridiagonal
 
 DAMPING = 0.5
@@ -97,27 +100,35 @@ def viscous_jacobian(u: ScalarField, lam: float, eps: float) -> CyclicTridiagona
 
 
 def _newton(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
-            u0: np.ndarray) -> tuple[np.ndarray, int, float, bool]:
+            u0: np.ndarray, fallback: bool = False) -> tuple[np.ndarray, int, float, bool]:
     """One damped Newton run at fixed eps from u0. Returns (u, iters, residual, converged).
 
     It stops at the residual max(TOL, floor(u)) of the module docstring and
     converges only if the Jacobian at its final iterate is expansion free. A
-    non-finite start raises ValueError.
+    non-finite start raises ValueError. A linear solve that the tridiagonal
+    solver rejects raises ConvergenceError, unless the run has a fallback:
+    then the run ends unconverged, the rejected solve counted as an iteration.
     """
     u = u0.copy()
     v_half = model.potential(grid.x_half)
     res = _residual_arr(model, v_half, grid.h, u, lam, eps)
     rnorm = float(np.max(np.abs(res)))
     if not np.isfinite(rnorm):
-        raise ValueError(f"residual at the starting field is {rnorm!r}: the model is not finite")
+        raise ValueError(f"residual at the starting field is {rnorm!r}: "
+                         "the model or the start is not finite")
     it = 0
     ulp_scale = 4.0 * eps / (grid.h * grid.h)  # floor(u) = ulp_scale * ulp(max|u|)
     while rnorm > max(TOL, ulp_scale * float(np.spacing(np.max(np.abs(u))))):
         if it == MAX_NEWTON_ITERS:
             return u, it, rnorm, False
-        step = solve_cyclic_tridiagonal(
-            drift_diffusion_bands(grid, forward_difference(u, grid.h), lam, eps), -res)
         it += 1
+        try:
+            step = solve_cyclic_tridiagonal(
+                drift_diffusion_bands(grid, forward_difference(u, grid.h), lam, eps), -res)
+        except ConvergenceError:
+            if not fallback:
+                raise
+            return u, it, rnorm, False
         t = 1.0
         while True:
             trial = u + t * step
@@ -144,27 +155,39 @@ def _continuation_chain(eps: float) -> list[float]:
     return chain + [eps] if chain else []
 
 
-def solve_viscous(model: HamiltonianModel, lam: float, eps: float,
-                  grid: Grid1D) -> tuple[ScalarField, SolveReport]:
+def solve_viscous(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
+                  start: ScalarField | None = None) -> tuple[ScalarField, SolveReport]:
     """Solve the discounted viscous equation; non-convergence is reported.
 
+    Given a start (a field on grid, finite like every ScalarField), Newton
+    first runs from it at eps; if that run converges, its field is returned
+    with its iterations and no continuation. Otherwise, or without a start,
     Newton runs cold from zero at eps to the module's Newton stop. If that
     fails, it restarts from zero at eps = 0.5 and descends the continuation
     chain, each level warm-started from the previous one, until a level fails
-    or eps is reached. The report carries the iteration count (summed over
-    all runs), the final residual inf-norm, the convergence flag and how many
-    continuation levels ran (0 for a successful cold start). converged=False
-    covers a Newton stall, an exhausted iteration budget (MAX_NEWTON_ITERS
-    per run), and a residual that meets the stop at a field whose
-    Jacobian has an expansion row, where the non-monotone averaged scheme
-    cannot be trusted. Only a linear solve that the tridiagonal solver
-    rejects raises, as ConvergenceError; a model that is not finite on the
-    grid raises ValueError.
+    or eps is reached. A start therefore never loses a field the cold path
+    finds: a failed warm run, a rejected linear solve in it included, only
+    adds its iterations to the count. The report carries the iteration count
+    (summed over all runs), the final residual inf-norm, the convergence flag
+    and how many continuation levels ran (0 for a successful warm or cold
+    start). converged=False covers a Newton stall, an exhausted iteration
+    budget (MAX_NEWTON_ITERS per run), and a residual that meets the stop at
+    a field whose Jacobian has an expansion row, where the non-monotone
+    averaged scheme cannot be trusted. Only a linear solve of the cold path
+    that the tridiagonal solver rejects raises, as ConvergenceError; a model
+    that is not finite on the grid, or a start on another grid, raises
+    ValueError.
     """
     check_positive("lambda", lam)
     check_positive("eps", eps)
-    zero = np.zeros(grid.n)
     total = 0
+    if start is not None:
+        if start.grid != grid:
+            raise ValueError(f"start lives on a grid of n={start.grid.n}, not n={grid.n}")
+        u, total, rnorm, ok = _newton(model, lam, eps, grid, start.values, fallback=True)
+        if ok:
+            return ScalarField(grid, u), SolveReport(total, rnorm, True, 0)
+    zero = np.zeros(grid.n)
     for steps, level in enumerate([eps] + _continuation_chain(eps)):
         # the cold start and the first continuation level both start from zero
         u, it, rnorm, ok = _newton(model, lam, level, grid, u if steps > 1 else zero)

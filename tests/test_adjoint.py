@@ -452,3 +452,16 @@ def test_averaged_drift_closed_forms(pendulum):
     with pytest.raises(ValueError):
         hv.averaged_drift(u1, other)
 
+
+
+def test_trapezoid_weights_sum_to_one_minus_discount():
+    # c_a + c_b is 1 - e^{-lam dt} to roundoff, with no rounding of
+    # e^{-lam dt} in between: the rounding of q once cost up to
+    # ulp(q)/(2(1 - q)) relative, 9e-13 at 1 - q = 6.1e-5
+    dt = hv.TWO_PI / 256
+    for x in np.logspace(-9.0, 0.0, 181):
+        lam = float(x) / dt
+        coef_a, coef_b = hv.adjoint._trapezoid_weights(lam, dt)
+        exact = -math.expm1(-lam * dt)
+        assert abs((coef_a + coef_b) - exact) <= 2.0 * math.ulp(exact), x
+        assert coef_a > 0.0 and coef_b > 0.0

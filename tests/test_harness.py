@@ -180,8 +180,8 @@ def test_partial_failure_reports_lambdas(pendulum, monkeypatch):
     failing = (lams[3], lams[7])
     solve = hv.harness.solve_viscous
 
-    def flaky_solve(model, lam, eps, grid):
-        u, report = solve(model, lam, eps, grid)
+    def flaky_solve(model, lam, eps, grid, start=None):
+        u, report = solve(model, lam, eps, grid, start=start)
         return u, dataclasses.replace(report, converged=report.converged and lam not in failing)
 
     monkeypatch.setattr(hv.harness, "solve_viscous", flaky_solve)
@@ -218,3 +218,45 @@ def test_sweep_is_deterministic_across_reruns(pendulum):
     first = hv.sweep_to_csv(hv.run_sweep(pendulum, 0.2, n=256))
     second = hv.sweep_to_csv(hv.run_sweep(pendulum, 0.2, n=256))
     assert first == second
+
+
+def _v_asym(x):
+    return np.cos(x) + 0.25 * np.cos(2.0 * x + 1.0)
+
+
+def _v_shifted_cos(x):
+    return 0.3 * (np.cos(x) - 1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.6])
+@pytest.mark.parametrize("potential", [_v_asym, _v_shifted_cos], ids=["V_asym", "shifted_cos"])
+def test_warm_started_sweep_matches_cold_solves(monkeypatch, potential, alpha):
+    """Each point starts from the previous lambda's field; the gaps match
+    independent cold solves to 1e-9, and V_asym needs no continuation.
+
+    The cold solves are compared against the same inviscid reference the
+    sweep used. Cold, V_asym takes 16-252 Newton iterations per point after
+    the first.
+    """
+    model = hv.HamiltonianModel(potential)
+    lams = tuple(np.logspace(-1.0, np.log10(5e-3), 6))
+    references = {}
+    lax_friedrichs = hv.harness.solve_discounted_lax_friedrichs
+
+    def keep_reference(model, lam, grid, sigma):
+        references[lam] = lax_friedrichs(model, lam, grid, sigma=sigma)[0]
+        return references[lam], None
+
+    monkeypatch.setattr(hv.harness, "solve_discounted_lax_friedrichs", keep_reference)
+    res = hv.run_sweep(model, alpha, lams, n=2048)
+    grid = hv.Grid1D(2048)
+    checked = 0
+    for rec in res.records:
+        cold, report = hv.solve_viscous(model, rec.lam, rec.epsilon, grid)
+        if report.converged:
+            cold_gap = float(np.max(np.abs(cold.values - references[rec.lam].values)))
+            assert abs(rec.sup_diff - cold_gap) <= 1e-9, rec.lam
+            checked += 1
+    assert checked == len(lams)
+    if potential is _v_asym:
+        assert max(rec.newton_iters for rec in res.records[1:]) <= 10

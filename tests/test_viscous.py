@@ -219,12 +219,17 @@ def test_floor_stop_agrees_with_extended_precision(pendulum, n, lam, eps):
     assert float(np.max(np.abs(u.values - ref))) <= 1e-12
 
 
-def test_continuation_rescues_failed_cold_start():
+def _rescued_point():
+    """A point whose cold start fails and which continuation rescues."""
     g = hv.Grid1D(256)
     model = hv.separable_hamiltonian(
         0.3 * (np.cos(g.x) - 1.0) + 0.06 * np.sin(2.0 * g.x), g)
     lam = 5e-3
-    eps = lam ** 1.2
+    return model, lam, lam ** 1.2, g
+
+
+def test_continuation_rescues_failed_cold_start():
+    model, lam, eps, g = _rescued_point()
     _, _, cold_res, cold_ok = hv.viscous._newton(model, lam, eps, g, np.zeros(g.n))
     assert not cold_ok and cold_res > 1e-10
     u, report = hv.solve_viscous(model, lam, eps, g)
@@ -244,6 +249,18 @@ def test_options_and_argument_validation(pendulum):
     for lam, eps in ((np.inf, 0.1), (np.nan, 0.1), (0.1, np.inf), (0.1, np.nan)):
         with pytest.raises(ValueError):
             hv.solve_viscous(pendulum, lam, eps, g)
+    # a start on another grid, and a non-finite start: ScalarField rejects
+    # one, and solve_viscous one whose values were swapped past that check
+    with pytest.raises(ValueError, match="grid"):
+        hv.solve_viscous(pendulum, 0.1, 0.05, g,
+                         start=hv.ScalarField(hv.Grid1D(128), np.zeros(128)))
+    nan = np.full(g.n, np.nan)
+    with pytest.raises(ValueError):
+        hv.ScalarField(g, nan)
+    smuggled = hv.ScalarField(g, np.zeros(g.n))
+    object.__setattr__(smuggled, "values", nan)
+    with pytest.raises(ValueError, match="start is not finite"):
+        hv.solve_viscous(pendulum, 0.1, 0.05, g, start=smuggled)
 
 
 def test_non_finite_model_raises_instead_of_converging():
@@ -255,3 +272,46 @@ def test_non_finite_model_raises_instead_of_converging():
                   lambda: hv.HamiltonianModel(spiked)):
         with pytest.raises(ValueError):
             hv.solve_viscous(build(), 0.1, 0.05, hv.Grid1D(64))
+
+
+def test_converged_start_is_returned_after_zero_iterations(pendulum):
+    g = hv.Grid1D(256)
+    rescued = _rescued_point()
+    for model, lam, eps, grid in ((pendulum, 1e-2, 1e-2 ** 1.6, g), rescued):
+        cold, cold_report = hv.solve_viscous(model, lam, eps, grid)
+        assert cold_report.converged
+        warm, report = hv.solve_viscous(model, lam, eps, grid, start=cold)
+        assert np.array_equal(warm.values, cold.values)
+        assert (report.iterations, report.continuation_steps) == (0, 0)
+        assert report.converged and report.final_residual_inf == cold_report.final_residual_inf
+
+
+def test_failed_start_falls_back_to_the_cold_path(monkeypatch):
+    model, lam, eps, g = _rescued_point()
+    cold, cold_report = hv.solve_viscous(model, lam, eps, g)
+    assert cold_report.converged and cold_report.continuation_steps >= 1
+    # the zero field is a start from which Newton fails at eps: the warm run
+    # repeats the cold start, and the cold path then runs as without a start
+    _, failed_iters, _, failed_ok = hv.viscous._newton(model, lam, eps, g, np.zeros(g.n))
+    assert not failed_ok
+    warm, report = hv.solve_viscous(model, lam, eps, g, start=hv.ScalarField(g, np.zeros(g.n)))
+    assert np.array_equal(warm.values, cold.values)
+    assert report.iterations == cold_report.iterations + failed_iters
+    assert report.continuation_steps == cold_report.continuation_steps
+    # a linear solve the tridiagonal solver rejects in the warm run (the first
+    # solve of the call) ends that run; the cold path is untouched
+    solve = hv.viscous.solve_cyclic_tridiagonal
+    calls = []
+
+    def reject_first(matrix, rhs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise hv.ConvergenceError("rejected")
+        return solve(matrix, rhs)
+
+    monkeypatch.setattr(hv.viscous, "solve_cyclic_tridiagonal", reject_first)
+    start = hv.ScalarField(g, 0.5 * cold.values)
+    warm, report = hv.solve_viscous(model, lam, eps, g, start=start)
+    assert np.array_equal(warm.values, cold.values)
+    assert report.iterations == cold_report.iterations + 1
+    assert report.continuation_steps == cold_report.continuation_steps
