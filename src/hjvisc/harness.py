@@ -21,10 +21,8 @@ CSV layout (one row per record, then a comment summary):
     # r_squared=...
 
 printed with 17 significant digits, bit-identical across reruns of one
-config. The points are solved in list order, each Newton run starting from
-the field of the last recorded point (natural-parameter continuation in
-lambda), so newton_iters counts the iterations from that warm start plus
-any cold-start fallback solve_viscous needed.
+config. Each point's Newton run starts from the last recorded point's field,
+so newton_iters counts the iterations from that start plus any fallback.
 """
 
 from __future__ import annotations
@@ -144,11 +142,10 @@ def run_sweep(model: HamiltonianModel, alpha: float,
     pendulum_hamiltonian() (sampled on the same torus nodes; n must be even
     for that) and the Lax-Friedrichs scheme for any other model, including
     a potential that merely looks like the pendulum. Each viscous solve
-    starts from the field of the last recorded point (solve_viscous's start);
-    the first point, with none recorded yet, starts cold, and a failed point
-    passes nothing on. A failing point is dropped from the records and
-    reported in failed_lambdas. All-zero gaps (flat model) fit degenerately
-    to slope = r_squared = 0.
+    starts from the last recorded point's field, the first one cold. A failing
+    point passes nothing on; it is dropped from the records and reported in
+    failed_lambdas. All-zero gaps (flat model) fit degenerately to
+    slope = r_squared = 0.
     """
     lams = check_lambdas(lam_list, 1)
     if not lams[0] < 1.0:

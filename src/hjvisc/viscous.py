@@ -21,10 +21,9 @@ floor(u) passes TOL (Deuflhard, "Newton Methods for Nonlinear Problems",
 still counts as unconverged when its final Jacobian has an expansion row
 (see _expansion_free). A cold start that fails is always restarted from zero
 along a factor-2 descent in eps from 0.5, warm-starting each level with the
-previous solution. A solve may also be handed a starting field (run_sweep
-passes each point the previous lambda's solution, natural-parameter
-continuation in Deuflhard's ch. 5): a converged Newton run from it is the
-answer, and a failed one falls back to the cold path.
+previous solution. A Newton run from a given start (run_sweep passes the
+previous lambda's field, Deuflhard's ch. 5) comes first; the cold start
+follows only if it fails.
 """
 
 from __future__ import annotations
@@ -159,24 +158,22 @@ def solve_viscous(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
                   start: ScalarField | None = None) -> tuple[ScalarField, SolveReport]:
     """Solve the discounted viscous equation; non-convergence is reported.
 
-    Given a start (a field on grid, finite like every ScalarField), Newton
-    first runs from it at eps; if that run converges, its field is returned
-    with its iterations and no continuation. Otherwise, or without a start,
-    Newton runs cold from zero at eps to the module's Newton stop. If that
-    fails, it restarts from zero at eps = 0.5 and descends the continuation
-    chain, each level warm-started from the previous one, until a level fails
-    or eps is reached. A start therefore never loses a field the cold path
-    finds: a failed warm run, a rejected linear solve in it included, only
-    adds its iterations to the count. The report carries the iteration count
-    (summed over all runs), the final residual inf-norm, the convergence flag
-    and how many continuation levels ran (0 for a successful warm or cold
-    start). converged=False covers a Newton stall, an exhausted iteration
-    budget (MAX_NEWTON_ITERS per run), and a residual that meets the stop at
-    a field whose Jacobian has an expansion row, where the non-monotone
-    averaged scheme cannot be trusted. Only a linear solve of the cold path
-    that the tridiagonal solver rejects raises, as ConvergenceError; a model
-    that is not finite on the grid, or a start on another grid, raises
-    ValueError.
+    Given a start on grid, Newton first runs from it at eps and, if that run
+    converges, returns its field. Otherwise, or without a start, Newton runs
+    cold from zero at eps to the module's Newton stop. If that fails, it
+    restarts from zero at eps = 0.5 and descends the continuation chain, each
+    level warm-started from the previous one, until a level fails or eps is
+    reached. A failed warm run, a rejected linear solve in it included, only
+    adds its iterations, so a start never loses a field the cold path finds.
+    The report carries the iteration count (summed over all runs), the final
+    residual inf-norm, the convergence flag and how many continuation levels
+    ran (0 for a successful warm or cold start). converged=False covers a
+    Newton stall, an exhausted iteration budget (MAX_NEWTON_ITERS per run),
+    and a residual that meets the stop at a field whose Jacobian has an
+    expansion row, where the non-monotone averaged scheme cannot be trusted.
+    Only a cold-path linear solve that the tridiagonal solver rejects raises,
+    as ConvergenceError; a model that is not finite on the grid, or a start
+    on another grid, raises ValueError.
     """
     check_positive("lambda", lam)
     check_positive("eps", eps)
