@@ -14,6 +14,7 @@ floats are printed with 17 significant digits; nothing here is randomized.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -78,6 +79,7 @@ def _coerce(key: str, p: _Param, val: Any) -> Any:
     return val
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hjvisc",
@@ -262,7 +264,11 @@ _COMMANDS: dict[str, tuple[Callable[..., int], dict[str, _Param]]] = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; returns the process exit code instead of exiting."""
+    """Run one subcommand; returns the process exit code instead of exiting.
+
+    The parser is built once per process and reused by every call; each
+    call parses into a fresh namespace, so no value carries over.
+    """
     parser = _build_parser()
     try:
         ns = parser.parse_args(argv)

@@ -141,12 +141,15 @@ class DensityField(ScalarField):
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Iteration diagnostics shared by the nonlinear solvers."""
+    """Iteration diagnostics shared by the nonlinear solvers. final_eps is the
+    viscosity of the returned field: the requested one, or that of the
+    continuation level that failed."""
 
     iterations: int
     final_residual_inf: float
     converged: bool
-    continuation_steps: int = 0
+    continuation_steps: int
+    final_eps: float
 
     def require_converged(self, what: str) -> None:
         """Raise ConvergenceError naming ``what`` unless the solve converged."""

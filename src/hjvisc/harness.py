@@ -22,7 +22,8 @@ CSV layout (one row per record, then a comment summary):
 
 printed with 17 significant digits, bit-identical across reruns of one
 config. Each point's Newton run starts from the last recorded point's field,
-so newton_iters counts the iterations from that start plus any fallback.
+so newton_iters counts the iterations from that start plus any fallback. A
+Lax-Friedrichs reference starts from the viscous field at the same lambda.
 """
 
 from __future__ import annotations
@@ -118,9 +119,11 @@ def _sweep_point(model: HamiltonianModel, lam: float, alpha: float, grid: Grid1D
     if model == pendulum_hamiltonian():
         u_inv = solve_pendulum_ode(lam, grid.n // 2)
     else:
-        # Lax-Friedrichs speed: 25% above the largest |dH/dp| = |D+u_eps|
+        # Lax-Friedrichs speed: 25% above the largest |dH/dp| = |D+u_eps|; its Newton
+        # run starts from u_eps, the viscous field at the same lambda
         speed = float(np.max(np.abs(drift_field(model, u_eps).values)))
-        u_inv, _ = solve_discounted_lax_friedrichs(model, lam, grid, sigma=max(1.25 * speed, 1.0))
+        u_inv, _ = solve_discounted_lax_friedrichs(model, lam, grid, sigma=max(1.25 * speed, 1.0),
+                                                   start=u_eps)
     gap = u_eps.values - u_inv.values
     return SweepRecord(
         lam=lam,
@@ -142,7 +145,8 @@ def run_sweep(model: HamiltonianModel, alpha: float,
     pendulum_hamiltonian() (sampled on the same torus nodes; n must be even
     for that) and the Lax-Friedrichs scheme for any other model, including
     a potential that merely looks like the pendulum. Each viscous solve
-    starts from the last recorded point's field, the first one cold. A failing
+    starts from the last recorded point's field, the first one cold, and each
+    Lax-Friedrichs solve from the viscous field at its lambda. A failing
     point passes nothing on; it is dropped from the records and reported in
     failed_lambdas. All-zero gaps (flat model) fit degenerately to
     slope = r_squared = 0.

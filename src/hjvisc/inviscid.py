@@ -8,7 +8,8 @@ Two independent routes to u_lambda with eps = 0:
   solved to roundoff by Hermite-Simpson collocation in whole-grid sweeps;
 * the monotone Lax-Friedrichs scheme, which is the viscous equation at
   eps = sigma*h/2 solved by damped Newton, works for any potential V and
-  serves as the cross oracle.
+  serves as the cross oracle. In a sweep its Newton run starts from the
+  viscous field at the same lambda; a lone solve starts cold.
 """
 
 from __future__ import annotations
@@ -76,21 +77,23 @@ def solve_pendulum_ode(lam: float, n_half: int) -> ScalarField:
 
 
 def solve_discounted_lax_friedrichs(model: HamiltonianModel, lam: float, grid: Grid1D,
-                                    sigma: float) -> tuple[ScalarField, SolveReport]:
+                                    sigma: float, start: ScalarField | None = None
+                                    ) -> tuple[ScalarField, SolveReport]:
     """Solve the monotone Lax-Friedrichs scheme
 
         lambda*u_j + [H(x_{j+1/2}, D+u_j) + H(x_{j-1/2}, D-u_j)]/2 - (sigma/2)(D+u_j - D-u_j) = 0,
 
     which is the viscous equation at eps = sigma*h/2, by the damped Newton of
-    solve_viscous and to its stop; report.iterations counts Newton
-    iterations. The scheme is monotone only if
+    solve_viscous and to its stop, from start if given (run_sweep passes the
+    viscous field at the same lambda) and cold otherwise; report.iterations
+    counts Newton iterations. The scheme is monotone only if
     sigma >= max|D+u_j|, the largest |dH/dp|; a solution violating that, checked
     at the returned u, or a Newton stall raises ConvergenceError advising a
     larger sigma.
     """
     check_positive("lambda", lam)
     check_positive("sigma", sigma)
-    u, report = solve_viscous(model, lam, 0.5 * sigma * grid.h, grid)
+    u, report = solve_viscous(model, lam, 0.5 * sigma * grid.h, grid, start=start)
     report.require_converged(
         f"the Lax-Friedrichs scheme at sigma = {sigma:.3e} (retry with a larger sigma)")
     speed = float(np.max(np.abs(forward_difference(u.values, grid.h))))

@@ -41,20 +41,23 @@ TOL = 1e-10
 
 
 def _residual_arr(model: HamiltonianModel, v_half: np.ndarray, h: float, u: np.ndarray,
-                  lam: float, eps: float) -> np.ndarray:
-    """F_j = lambda*u_j + (G_{j+1/2} + G_{j-1/2})/2 - eps*Lu_j, G_{j+1/2} = H(x_{j+1/2}, D+u_j)."""
+                  lam: float, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(F, D+u): F_j = lambda*u_j + (G_{j+1/2} + G_{j-1/2})/2 - eps*Lu_j with
+    G_{j+1/2} = H(x_{j+1/2}, D+u_j), and D+u, the half-node drift of F's Jacobian."""
     up = shift(u, 1)  # u_{j+1}, shared by D+u and Lu
     lap = (up - 2.0 * u + shift(u, -1)) / (h * h)
+    dplus = (up - u) / h
     # G in model.h's order, (p^2/2 + V) + level, from v_half = V(x_{j+1/2}) taken once per
     # Newton run; F accumulates in place to spare the hot path n-length temporaries
-    g = 0.5 * ((up - u) / h) ** 2
+    g = 0.5 * dplus ** 2
     g += v_half
     g += model.level
     g += shift(g, -1)
     g *= 0.5
     g += lam * u
-    g -= eps * lap
-    return g
+    lap *= eps
+    g -= lap
+    return g, dplus
 
 
 def drift_diffusion_bands(grid: Grid1D, b_half: np.ndarray, lam: float,
@@ -67,11 +70,13 @@ def drift_diffusion_bands(grid: Grid1D, b_half: np.ndarray, lam: float,
     the Newton Jacobian; its transpose is the adjoint (Fokker-Planck) operator.
     """
     h = grid.h
-    bm = shift(b_half, -1)  # b_{j-1/2}
     visc = eps / (h * h)
-    return CyclicTridiagonalMatrix(diag=lam + 2.0 * visc + (bm - b_half) / (2.0 * h),
-                                   sub=-bm / (2.0 * h) - visc,
-                                   super=b_half / (2.0 * h) - visc)
+    drift = b_half / (2.0 * h)
+    diag = shift(b_half, -1) - b_half  # b_{j-1/2} - b_{j+1/2}
+    diag /= 2.0 * h
+    diag += lam + 2.0 * visc
+    # -visc - a rounds as -a - visc: sub_j = -b_{j-1/2}/(2h) - visc
+    return CyclicTridiagonalMatrix(diag=diag, sub=-visc - shift(drift, -1), super=drift - visc)
 
 
 def _expansion_free(sub: np.ndarray, sup: np.ndarray) -> bool:
@@ -89,7 +94,7 @@ def viscous_residual(model: HamiltonianModel, u: ScalarField, lam: float,
                      eps: float) -> ScalarField:
     """Pointwise residual lambda*u + (H(D+u) + H(D-u))/2 - eps*Lu of a candidate field."""
     v_half = model.potential(u.grid.x_half)
-    return ScalarField(u.grid, _residual_arr(model, v_half, u.grid.h, u.values, lam, eps))
+    return ScalarField(u.grid, _residual_arr(model, v_half, u.grid.h, u.values, lam, eps)[0])
 
 
 def viscous_jacobian(u: ScalarField, lam: float, eps: float) -> CyclicTridiagonalMatrix:
@@ -110,7 +115,7 @@ def _newton(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
     """
     u = u0.copy()
     v_half = model.potential(grid.x_half)
-    res = _residual_arr(model, v_half, grid.h, u, lam, eps)
+    res, dplus = _residual_arr(model, v_half, grid.h, u, lam, eps)
     rnorm = float(np.max(np.abs(res)))
     if not np.isfinite(rnorm):
         raise ValueError(f"residual at the starting field is {rnorm!r}: "
@@ -122,8 +127,7 @@ def _newton(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
             return u, it, rnorm, False
         it += 1
         try:
-            step = solve_cyclic_tridiagonal(
-                drift_diffusion_bands(grid, forward_difference(u, grid.h), lam, eps), -res)
+            step = solve_cyclic_tridiagonal(drift_diffusion_bands(grid, dplus, lam, eps), -res)
         except ConvergenceError:
             if not fallback:
                 raise
@@ -131,16 +135,16 @@ def _newton(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
         t = 1.0
         while True:
             trial = u + t * step
-            trial_res = _residual_arr(model, v_half, grid.h, trial, lam, eps)
+            trial_res, trial_dplus = _residual_arr(model, v_half, grid.h, trial, lam, eps)
             trial_norm = float(np.max(np.abs(trial_res)))
             if np.isfinite(trial_norm) and trial_norm < rnorm:
-                u, res, rnorm = trial, trial_res, trial_norm
+                u, res, dplus, rnorm = trial, trial_res, trial_dplus, trial_norm
                 break
             t *= DAMPING
             if t < MIN_DAMPING_STEP:
                 # stalled: no damped step reduces the residual
                 return u, it, rnorm, False
-    jac = drift_diffusion_bands(grid, forward_difference(u, grid.h), lam, eps)
+    jac = drift_diffusion_bands(grid, dplus, lam, eps)
     return u, it, rnorm, _expansion_free(jac.sub, jac.super)
 
 
@@ -166,11 +170,13 @@ def solve_viscous(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
     reached. A failed warm run, a rejected linear solve in it included, only
     adds its iterations, so a start never loses a field the cold path finds.
     The report carries the iteration count (summed over all runs), the final
-    residual inf-norm, the convergence flag and how many continuation levels
-    ran (0 for a successful warm or cold start). converged=False covers a
-    Newton stall, an exhausted iteration budget (MAX_NEWTON_ITERS per run),
-    and a residual that meets the stop at a field whose Jacobian has an
-    expansion row, where the non-monotone averaged scheme cannot be trusted.
+    residual inf-norm, the convergence flag, how many continuation levels
+    ran (0 for a successful warm or cold start) and the viscosity of the
+    returned field (eps, unless a continuation level failed: then that
+    level's). converged=False covers a Newton stall, an exhausted iteration
+    budget (MAX_NEWTON_ITERS per run), and a residual that meets the stop at
+    a field whose Jacobian has an expansion row, where the non-monotone
+    averaged scheme cannot be trusted.
     Only a cold-path linear solve that the tridiagonal solver rejects raises,
     as ConvergenceError; a model that is not finite on the grid, or a start
     on another grid, raises ValueError.
@@ -183,7 +189,7 @@ def solve_viscous(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
             raise ValueError(f"start lives on a grid of n={start.grid.n}, not n={grid.n}")
         u, total, rnorm, ok = _newton(model, lam, eps, grid, start.values, fallback=True)
         if ok:
-            return ScalarField(grid, u), SolveReport(total, rnorm, True, 0)
+            return ScalarField(grid, u), SolveReport(total, rnorm, True, 0, eps)
     zero = np.zeros(grid.n)
     for steps, level in enumerate([eps] + _continuation_chain(eps)):
         # the cold start and the first continuation level both start from zero
@@ -192,4 +198,4 @@ def solve_viscous(model: HamiltonianModel, lam: float, eps: float, grid: Grid1D,
         if ok == (steps == 0):
             # a converged cold start needs no continuation; a failed level ends it
             break
-    return ScalarField(grid, u), SolveReport(total, rnorm, ok, steps)
+    return ScalarField(grid, u), SolveReport(total, rnorm, ok, steps, level)

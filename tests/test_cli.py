@@ -92,6 +92,32 @@ def test_config_rejects_malformed_json(tmp_path, capsys):
     assert "JSON object" in capsys.readouterr().err
 
 
+def test_cached_parser_carries_nothing_between_calls(capsys):
+    """One parser serves every main call in a process; a sequence of calls
+    prints what each call prints with a freshly built parser."""
+    assert cli._build_parser() is cli._build_parser()
+    calls = [
+        ["sweep", "--dump-config", "--alpha", "0.2", "--n", "64"],
+        ["solve-viscous", "--dump-config", "--lambda", "0.1", "--epsilon", "0.01"],
+        ["sweep", "--alpha", "0.2", "--no-such-flag"],
+        ["sweep", "--dump-config", "--alpha", "0.6"],
+    ]
+
+    def run(argv):
+        rc = cli.main(argv)
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err
+
+    shared = [run(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [rc for rc, _, _ in shared] == [0, 0, 1, 0]
+    assert json.loads(shared[3][1])["n"] == 2048  # the first call's --n 64 is gone
+
+
 def test_config_rejects_wrong_types(tmp_path, capsys):
     path = tmp_path / "types.json"
     path.write_text(json.dumps({"lambda": 0.1, "epsilon": 0.05, "n": 64.5}))

@@ -243,8 +243,8 @@ def test_warm_started_sweep_matches_cold_solves(monkeypatch, potential, alpha):
     references = {}
     lax_friedrichs = hv.harness.solve_discounted_lax_friedrichs
 
-    def keep_reference(model, lam, grid, sigma):
-        references[lam] = lax_friedrichs(model, lam, grid, sigma=sigma)[0]
+    def keep_reference(model, lam, grid, sigma, start=None):
+        references[lam] = lax_friedrichs(model, lam, grid, sigma=sigma, start=start)[0]
         return references[lam], None
 
     monkeypatch.setattr(hv.harness, "solve_discounted_lax_friedrichs", keep_reference)
@@ -260,3 +260,28 @@ def test_warm_started_sweep_matches_cold_solves(monkeypatch, potential, alpha):
     assert checked == len(lams)
     if potential is _v_asym:
         assert max(rec.newton_iters for rec in res.records[1:]) <= 10
+
+
+@pytest.mark.parametrize("potential, n, alpha, lams", [
+    (_v_shifted_cos, 256, 0.3, (0.2, 0.1, 0.05)),
+    (_v_asym, 2048, 0.2, tuple(np.logspace(-1.0, np.log10(5e-3), 6))),
+], ids=["shifted_cos-256", "V_asym-2048"])
+def test_lax_friedrichs_reference_starts_from_the_viscous_field(monkeypatch, potential, n,
+                                                                alpha, lams):
+    """Each point's Lax-Friedrichs run starts from the viscous field at its
+    lambda, and its reference matches an independent cold solve to 1e-12."""
+    model = hv.HamiltonianModel(potential)
+    lax_friedrichs = hv.harness.solve_discounted_lax_friedrichs
+    seen = []
+
+    def compare_with_cold(model, lam, grid, sigma, start=None):
+        assert start is not None and start.grid == grid
+        warm, report = lax_friedrichs(model, lam, grid, sigma=sigma, start=start)
+        cold = lax_friedrichs(model, lam, grid, sigma=sigma)[0]
+        seen.append(float(np.max(np.abs(warm.values - cold.values))))
+        return warm, report
+
+    monkeypatch.setattr(hv.harness, "solve_discounted_lax_friedrichs", compare_with_cold)
+    res = hv.run_sweep(model, alpha, lams, n=n)
+    assert len(res.records) == len(seen) == len(lams)
+    assert max(seen) <= 1e-12

@@ -173,10 +173,14 @@ def test_underresolved_viscosity_is_flagged_not_faked(pendulum, grid2048):
     lam, eps = 1e-3, 1e-6
     u, report = hv.solve_viscous(pendulum, lam, eps, grid2048)
     assert not report.converged
-    assert report.continuation_steps >= 1
     assert report.final_residual_inf <= 1e-10
     jac = hv.viscous_jacobian(u, lam, eps)
     assert int(np.sum((jac.sub > 0.0) & (jac.super > 0.0))) == 1
+    # the field and its residual belong to the failed level 0.5/2^18 = 1.9e-6
+    assert report.continuation_steps == 19
+    assert report.final_eps == 0.5 / 2.0 ** 18
+    res = hv.viscous_residual(pendulum, u, lam, report.final_eps)
+    assert float(np.max(np.abs(res.values))) == report.final_residual_inf
 
 
 def _residual_longdouble(model, grid, u, lam, eps):
@@ -284,6 +288,7 @@ def test_converged_start_is_returned_after_zero_iterations(pendulum):
         assert np.array_equal(warm.values, cold.values)
         assert (report.iterations, report.continuation_steps) == (0, 0)
         assert report.converged and report.final_residual_inf == cold_report.final_residual_inf
+        assert report.final_eps == cold_report.final_eps == eps
 
 
 def test_failed_start_falls_back_to_the_cold_path(monkeypatch):
