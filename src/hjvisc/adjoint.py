@@ -33,6 +33,7 @@ from typing import Iterable
 
 import numpy as np
 
+from . import core
 from .core import (ConvergenceError, DensityField, Grid1D, HamiltonianModel,
                    ScalarField, check_index, check_positive, forward_difference)
 from .tridiag import (CyclicTridiagonalMatrix, factor_cyclic_tridiagonal,
@@ -90,7 +91,7 @@ def solve_adjoint_stationary(model: HamiltonianModel, u: ScalarField, lam: float
 class FokkerPlanckStream:
     """Lazy implicit-Euler snapshots (t_k, rho_k), t_k = k*dt, k = 0..steps,
     each validated through DensityField. Holds the step matrix S, its
-    factorization rho -> P rho = S^-1 rho, dt and the step count; it starts
+    prepared solve rho -> P rho = S^-1 rho, dt and the step count; it starts
     from the Dirac at x0_index."""
 
     def __init__(self, grid: Grid1D, matrix: CyclicTridiagonalMatrix, dt: float,
@@ -120,8 +121,8 @@ def evolve_fokker_planck(drift: ScalarField, eps: float, x0_index: int,
 
     The drift is a half-node field, b_{j+1/2} stored at index j (drift_field
     of a solved u, or an averaged_drift); dt defaults to the grid spacing h.
-    Arguments are checked, and the stepping matrix factorized once, at the
-    call (the one cyclic tridiagonal factorization of every banded solve).
+    Arguments are checked, and the step matrix's solve prepared
+    (factor_cyclic_tridiagonal), at the call.
     The returned FokkerPlanckStream yields (t_k, rho_k) lazily, starting with
     (0, delta/h), so long horizons never materialize in memory; wrap in
     list() for short runs.
@@ -195,13 +196,27 @@ def _closed_form(stream: FokkerPlanckStream, lam: float):
     return coef_a * x + coef_b * step(x), (stream._k * dt, field)
 
 
+def _snapshot(item: tuple, grid: Grid1D | None) -> tuple[float, DensityField]:
+    """(t, rho): a finite time and a DensityField, on ``grid`` unless it is None.
+    The class comes from core, since tracing wraps this module's DensityField."""
+    t, rho = item
+    if not math.isfinite(t):
+        raise ValueError(f"snapshot times must be finite, got t = {t!r}")
+    if not isinstance(rho, core.DensityField):
+        raise ValueError(f"snapshots must be DensityFields, got {type(rho).__name__}")
+    if grid is not None and rho.grid != grid:
+        raise ValueError("snapshots live on different grids")
+    return t, rho
+
+
 def stationary_from_transient(rho_sequence: Iterable[tuple[float, DensityField]],
                               lam: float) -> DensityField:
     """Discounted time average of an evolution, int_0^T lambda e^{-lambda t} rho dt.
 
-    The sequence starts at t = 0. Piecewise-linear-in-time rho against the
-    exactly integrated exponential weight (product trapezoid), plus the tail
-    estimate e^{-lambda*T} rho(., T).
+    The sequence starts at t = 0, and its snapshots are finite times and
+    DensityFields on one grid (ValueError otherwise). Piecewise-linear-in-time
+    rho against the exactly integrated exponential weight (product trapezoid),
+    plus the tail estimate e^{-lambda*T} rho(., T).
     Applied to rho == 1 the weights sum to exactly 1 - e^{-lambda T}, so the
     output inherits unit mass. A horizon with e^{-lambda T} > 1e-6 (T below
     roughly 14/lambda) is rejected as too short to truncate.
@@ -230,8 +245,9 @@ def stationary_from_transient(rho_sequence: Iterable[tuple[float, DensityField]]
         raise ValueError("empty evolution sequence")
     if first[0] != 0.0:
         raise ValueError(f"evolution sequence must start at t = 0, got t = {first[0]!r}")
-    acc, (t_prev, rho_prev), dt_ref = 0.0, first, None
-    for t, rho in it:
+    acc, (t_prev, rho_prev), dt_ref = 0.0, _snapshot(first, None), None
+    grid = rho_prev.grid
+    for t, rho in (_snapshot(item, grid) for item in it):
         dt = t - t_prev
         if dt <= 0.0:
             raise ValueError("snapshot times must increase")
@@ -254,7 +270,7 @@ def stationary_from_transient(rho_sequence: Iterable[tuple[float, DensityField]]
             f"horizon T = {t_prev:.6g} too short: e^(-lambda T) = {tail:.3e} > 1e-6, "
             "extend to at least 20/lambda")
     acc += tail * rho_prev.values
-    return DensityField(rho_prev.grid, acc)
+    return DensityField(grid, acc)
 
 
 def averaged_drift(u_eps: ScalarField, u_delta: ScalarField) -> ScalarField:

@@ -1,4 +1,4 @@
-"""Tridiagonal systems: LAPACK's pivoted tridiagonal LU, once per matrix.
+"""Cyclic tridiagonal systems: one LAPACK dgtsv elimination behind every solve.
 
 A periodic stencil produces a matrix that is tridiagonal except for the two
 corner entries A[0, n-1] and A[n-1, 0]. Writing A = T + outer(w, v) with T
@@ -7,12 +7,10 @@ Sherman-Morrison update
 
     x = y - z * (v . y) / (1 + v . z),   T y = r,  T z = w.
 
-solve_cyclic_tridiagonal, the one-rhs certified solve of every Newton step,
-eliminates T once for both columns of the block [w, r] in one ?gtsv call.
-factor_cyclic_tridiagonal, for many right-hand sides, factors T once with
-?gttrf (factor_tridiagonal) and solves T z = w, so every later right-hand
-side costs one ?gttrs call plus the rank-one fix. Both routes share the
-corner split (_split_corners) and the Sherman-Morrison denominator check.
+Every solve makes one dgtsv call (_eliminate) and one rank-one correction
+(_sherman_morrison). solve_cyclic_tridiagonal, the certified solve of every
+Newton step, eliminates the block [w, r] in that call;
+factor_cyclic_tridiagonal solves T z = w once for many right-hand sides.
 """
 
 from __future__ import annotations
@@ -80,64 +78,53 @@ class CyclicTridiagonalMatrix:
                                        super=shift(self.sub, 1))
 
 
-def factor_tridiagonal(dl: np.ndarray, d: np.ndarray, du: np.ndarray):
-    """Factor the tridiagonal matrix with sub-, main and super-diagonal
-    dl, d, du once; returns rhs -> solution.
-
-    Raises ConvergenceError when the factorization meets an exact zero pivot.
-    """
-    dl, d, du, du2, ipiv, info = lapack.dgttrf(dl, d, du)
-    if info != 0:
-        raise ConvergenceError(f"tridiagonal factorization failed: zero pivot in row {info}")
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        return lapack.dgttrs(dl, d, du, du2, ipiv, rhs)[0]
-
-    return solve
-
-
-def _split_corners(matrix: CyclicTridiagonalMatrix) -> tuple[np.ndarray, np.ndarray, float]:
-    """(diagonal of T, w, ratio) with A = T + outer(w, v), v = e_0 + ratio*e_{n-1}."""
-    n = matrix.n
+def _split_corners(matrix: CyclicTridiagonalMatrix) -> tuple[tuple, np.ndarray, float]:
+    """(bands (dl, d, du) of T, w, ratio): A = T + outer(w, v), v = e_0 + ratio*e_{n-1}."""
     d = matrix.diag
-    alpha = matrix.sub[0]       # row 0, column n-1
-    beta = matrix.super[n - 1]  # row n-1, column 0
+    alpha = matrix.sub[0]     # row 0, column n-1
+    beta = matrix.super[-1]   # row n-1, column 0
     gamma = -d[0] if abs(d[0]) > 1e-300 else -(np.max(np.abs(d)) + 1.0)
     d_mod = d.copy()
     d_mod[0] -= gamma
     d_mod[-1] -= alpha * beta / gamma
-    w = np.zeros(n)
-    w[0] = gamma
-    w[-1] = beta
-    return d_mod, w, alpha / gamma
+    w = np.zeros(matrix.n)
+    w[0], w[-1] = gamma, beta
+    return (matrix.sub[1:], d_mod, matrix.super[:-1]), w, alpha / gamma
 
 
-def _denominator(z: np.ndarray, ratio: float) -> float:
-    """1 + v . z, the Sherman-Morrison denominator; ConvergenceError when it vanishes."""
+def _eliminate(bands: tuple, b: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """T^-1 b, b of shape (n,) or (n, k), by pivoted elimination in one dgtsv call, which
+    may destroy d and b when overwrite is set. ConvergenceError at an exact zero pivot."""
+    *_, x, info = lapack.dgtsv(*bands, b, overwrite_d=overwrite, overwrite_b=overwrite)
+    if info != 0:
+        raise ConvergenceError(f"tridiagonal elimination failed: zero pivot in row {info}")
+    return x
+
+
+def _sherman_morrison(z: np.ndarray, ratio: float):
+    """y -> y - z (v . y)/(1 + v . z), mapping T^-1 rhs to A^-1 rhs for y of
+    shape (n,) or (n, k). ConvergenceError when 1 + v . z vanishes."""
     denom = 1.0 + z[0] + ratio * z[-1]
     if abs(denom) < 1e-13:
         raise ConvergenceError("cyclic tridiagonal solve rejected: singular system "
                                "(rank-one correction denominator vanished)")
-    return denom
+
+    def correct(y: np.ndarray) -> np.ndarray:
+        return y - np.multiply.outer(z, (y[0] + ratio * y[-1]) / denom)
+
+    return correct
 
 
 def factor_cyclic_tridiagonal(matrix: CyclicTridiagonalMatrix):
-    """Factor the cyclic matrix once; returns rhs -> solution, for rhs of
-    shape (n,) or (n, k).
-
-    Raises ConvergenceError when the tridiagonal part has a zero pivot or the
-    Sherman-Morrison denominator vanishes (singular system). Solutions carry
-    no certificate; solve_cyclic_tridiagonal adds one.
-    """
-    d_mod, w, ratio = _split_corners(matrix)
-    solve_t = factor_tridiagonal(matrix.sub[1:], d_mod, matrix.super[:-1])
-    z = solve_t(w)
-    denom = _denominator(z, ratio)
+    """Solve T z = w once; returns rhs -> solution for rhs of shape (n,) or
+    (n, k), each one dgtsv call plus the rank-one correction. A zero pivot of
+    T or a singular system raises ConvergenceError here. Solutions carry no
+    certificate; solve_cyclic_tridiagonal adds one."""
+    bands, w, ratio = _split_corners(matrix)
+    correct = _sherman_morrison(_eliminate(bands, w), ratio)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        y = solve_t(rhs)
-        factor = (y[0] + ratio * y[-1]) / denom
-        return y - np.multiply.outer(z, factor)
+        return correct(_eliminate(bands, rhs))
 
     return solve
 
@@ -156,10 +143,9 @@ def solve_cyclic_tridiagonal(matrix: CyclicTridiagonalMatrix, rhs: np.ndarray) -
     amplification cap ||A||_inf * ||x||_inf <= 1e11 * ||rhs||_inf guards the
     blind spot of pure backward error: a singular system with consistent rhs
     admits arbitrarily large x with tiny backward error, yet any such x is
-    numerically meaningless. One ?gtsv call eliminates T for the block
-    [w, rhs]; ConvergenceError is raised straight away when the system is
-    singular or near-singular (vanishing Sherman-Morrison denominator, a
-    zero pivot, a residual above the gate, or a tripped amplification cap).
+    numerically meaningless. ConvergenceError is raised straight away for a
+    zero pivot, a vanishing Sherman-Morrison denominator, a residual above
+    the gate or a tripped cap (singular or near-singular system).
     """
     rhs = np.asarray(rhs, dtype=float)
     n = matrix.n
@@ -173,16 +159,12 @@ def solve_cyclic_tridiagonal(matrix: CyclicTridiagonalMatrix, rhs: np.ndarray) -
     row_sums += np.abs(matrix.super)
     norm_a = float(np.max(row_sums))
 
-    d_mod, w, ratio = _split_corners(matrix)
+    bands, w, ratio = _split_corners(matrix)
     block = np.empty((n, 2), order="F")
     block[:, 0] = w
     block[:, 1] = rhs
-    *_, zy, info = lapack.dgtsv(matrix.sub[1:], d_mod, matrix.super[:-1], block,
-                                overwrite_d=1, overwrite_b=1)
-    if info != 0:
-        raise ConvergenceError(f"tridiagonal factorization failed: zero pivot in row {info}")
-    z, y = zy[:, 0], zy[:, 1]
-    x = y - z * ((y[0] + ratio * y[-1]) / _denominator(z, ratio))
+    zy = _eliminate(bands, block, overwrite=True)
+    x = _sherman_morrison(zy[:, 0], ratio)(zy[:, 1])
     r = matrix.matvec(x)
     r -= rhs
     res = float(np.max(np.abs(r, out=r)))

@@ -287,6 +287,18 @@ def test_discounted_average_rejections():
         hv.stationary_from_transient(ragged, 1.0)
     with pytest.raises(ValueError):
         hv.stationary_from_transient([(0.0, uniform)], 1.0)
+    # every snapshot is a finite time and a DensityField on the first one's grid
+    for t in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            hv.stationary_from_transient([(0.0, uniform), (t, uniform)], 1.0)
+    not_density = hv.ScalarField(grid, uniform.values)
+    for seq in ([(0.0, uniform.values), (0.1, uniform.values)],
+                [(0.0, uniform), (0.1, uniform.values)], [(0.0, uniform), (0.1, not_density)]):
+        with pytest.raises(ValueError, match="DensityField"):
+            hv.stationary_from_transient(seq, 1.0)
+    coarse = hv.DensityField(hv.Grid1D(n // 2), uniform.values[::2])
+    with pytest.raises(ValueError, match="grids"):
+        hv.stationary_from_transient([(0.0, uniform), (0.1, coarse)], 1.0)
 
 
 def _half_node_drift(grid, amplitudes):
@@ -320,16 +332,16 @@ def test_blocked_average_equals_streamed(n, amplitudes, eps_scale, lam, source, 
         return hv.stationary_from_transient(wrap(stream), lam)
 
     # a generator wrapper hides the stream and forces the streamed route
-    blocked, streamed = average(iter), average(lambda stream: (x for x in stream))
-    rel = np.max(np.abs(blocked.values - streamed.values)) / np.max(streamed.values)
+    closed, streamed = average(iter), average(lambda stream: (x for x in stream))
+    rel = np.max(np.abs(closed.values - streamed.values)) / np.max(streamed.values)
     assert rel <= 1e-11
-    assert abs(grid.h * float(blocked.values.sum()) - 1.0) <= 1e-12
+    assert abs(grid.h * float(closed.values.sum()) - 1.0) <= 1e-12
 
 
 @pytest.fixture
 def step_solves(monkeypatch):
     """Right-hand-side shapes of every solve with a Fokker-Planck step
-    factorization made while the fixture is active."""
+    solver prepared while the fixture is active."""
     calls = []
     factor = hv.adjoint.factor_cyclic_tridiagonal
 
@@ -350,7 +362,7 @@ def test_blocked_and_streamed_routes_reject_alike(step_solves):
     grid = hv.Grid1D(n)
     # cell Peclet 3*h/(2*0.05) = 2.9: the stream from x0 = 3 dips to -7.4e-4
     drift = _half_node_drift(grid, [(0.0, 3.0)])
-    routes = (iter, lambda stream: (x for x in stream))  # blocked, streamed
+    routes = (iter, lambda stream: (x for x in stream))  # closed form, streamed
     solves = []
     for wrap in routes:
         step_solves.clear()
@@ -358,8 +370,9 @@ def test_blocked_and_streamed_routes_reject_alike(step_solves):
             hv.stationary_from_transient(
                 wrap(hv.evolve_fokker_planck(drift, 0.05, 3, 500.0)), 0.04)
         solves.append(len(step_solves))
-    # the blocked route rejects a column of some P^i, i < n, before its
-    # first block boundary rho_n exists
+    # S has positive off-diagonals, so the closed form is not taken: the
+    # stream is stepped and rejected at its first negative snapshot, before
+    # step n
     assert solves[0] < n
 
     # e^(-lam*T) = e^-10 > 1e-6 after n**2 = 4096 steps

@@ -8,7 +8,7 @@ import pytest
 
 import hjvisc as hv
 from hjvisc.tridiag import (CyclicTridiagonalMatrix, factor_cyclic_tridiagonal,
-                            factor_tridiagonal, solve_cyclic_tridiagonal)
+                            solve_cyclic_tridiagonal)
 
 
 def _random_dominant(n, seed):
@@ -27,7 +27,7 @@ def test_identity_solve():
     assert np.max(np.abs(x - rhs)) <= 1e-15
 
 
-def test_matches_dense_oracle():
+def test_matches_dense_oracle(pendulum, monkeypatch):
     for seed in (0, 1, 7):
         m = _random_dominant(8, seed)
         rhs = np.random.RandomState(100 + seed).standard_normal(8)
@@ -35,7 +35,7 @@ def test_matches_dense_oracle():
         x_dense = np.linalg.solve(m.dense(), rhs)
         assert np.max(np.abs(x - x_dense)) <= 1e-12
         assert np.max(np.abs(m.matvec(x) - rhs)) <= 1e-12
-        # one factorization serves many right-hand sides
+        # one prepared solve serves many right-hand sides
         solve = factor_cyclic_tridiagonal(m)
         for k in range(3):
             rhs = np.random.RandomState(200 + 10 * seed + k).standard_normal(8)
@@ -44,6 +44,32 @@ def test_matches_dense_oracle():
         for k in (3, 8):
             rhs = np.random.RandomState(300 + 10 * seed + k).standard_normal((8, k))
             assert np.max(np.abs(solve(rhs) - np.linalg.solve(m.dense(), rhs))) <= 1e-12
+
+    # both entry points run the same elimination: equal bits on the Newton
+    # steps of pendulum solves (captured at the viscous module's solve) and on
+    # a Fokker-Planck step matrix, whose (n, 3) block is solved column by column
+    steps = []
+    certified = hv.viscous.solve_cyclic_tridiagonal
+
+    def capture(matrix, rhs):
+        steps.append((matrix, rhs))
+        return certified(matrix, rhs)
+
+    monkeypatch.setattr(hv.viscous, "solve_cyclic_tridiagonal", capture)
+    for n in (2048, 16384):
+        assert hv.solve_viscous(pendulum, 1e-2, 1e-2 ** 1.6, hv.Grid1D(n))[1].converged
+    monkeypatch.undo()
+    u, _ = hv.solve_viscous(pendulum, 2.5e-3, 2.5e-2, hv.Grid1D(256))
+    stream = hv.evolve_fokker_planck(hv.drift_field(pendulum, u), 2.5e-2, 0, 1.0)
+    rhs = np.random.RandomState(11).uniform(0.0, 1.0, (256, 3))
+    steps += [(stream.matrix, rhs[:, k]) for k in range(3)]
+    for m, rhs in steps:
+        assert np.array_equal(factor_cyclic_tridiagonal(m)(rhs),
+                              solve_cyclic_tridiagonal(m, rhs))
+    solve = factor_cyclic_tridiagonal(stream.matrix)
+    block = solve(np.column_stack([r for _, r in steps[-3:]]))
+    for k, (_, r) in enumerate(steps[-3:]):
+        assert np.array_equal(block[:, k], solve(r))
 
 
 def test_matvec_agrees_with_dense():
@@ -98,7 +124,7 @@ def test_singular_laplacian_rejected_on_constants():
 
 
 def test_singular_laplacian_with_consistent_rhs_is_rejected():
-    """A mean-zero rhs lies in the range, but the one factorization meets
+    """A mean-zero rhs lies in the range, but the one elimination meets
     the singular system and no second algorithm is tried."""
     n = 64
     m = CyclicTridiagonalMatrix(np.full(n, -2.0), np.ones(n), np.ones(n))
@@ -108,10 +134,20 @@ def test_singular_laplacian_with_consistent_rhs_is_rejected():
 
 
 def test_no_module_uses_scipy_sparse():
-    # every banded solve goes through LAPACK's tridiagonal LU (?gtsv, ?gttrf/?gttrs)
+    # every banded solve goes through one LAPACK dgtsv call in tridiag.py
     src = Path(hv.__file__).parent
     users = [p.name for p in sorted(src.glob("*.py")) if "scipy.sparse" in p.read_text()]
     assert users == []
+    importers = [p.name for p in sorted(src.glob("*.py"))
+                 for node in ast.walk(ast.parse(p.read_text()))
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and "lapack" in ast.unparse(node)]
+    assert importers == ["tridiag.py"]
+    tree = ast.parse((src / "tridiag.py").read_text())
+    routines = [node.func.attr for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id == "lapack"]
+    assert routines == ["dgtsv"]
 
 
 def test_stencils_wrap_only_through_core_and_modules_share_only_public_names():
@@ -150,11 +186,6 @@ def test_positivity_rule_lives_in_core():
 
 
 def test_exact_zero_pivot_raises_convergence_error():
-    d = np.array([0.0, 2.0, 2.0, 2.0])
-    dl = np.array([0.0, 1.0, 1.0])
-    du = np.array([0.0, 1.0, 1.0])
-    with pytest.raises(hv.ConvergenceError, match="zero pivot"):
-        factor_tridiagonal(dl, d, du)
     # after the corner split, T of this cyclic matrix meets a zero pivot in
     # row 2: the one-call certified solve and the factored solve reject it alike
     m = CyclicTridiagonalMatrix(np.ones(4), np.array([0.0, 2.0, 0.0, 0.0]),
