@@ -196,16 +196,21 @@ def _closed_form(stream: FokkerPlanckStream, lam: float):
     return coef_a * x + coef_b * step(x), (stream._k * dt, field)
 
 
-def _snapshot(item: tuple, grid: Grid1D | None) -> tuple[float, DensityField]:
-    """(t, rho): a finite time and a DensityField, on ``grid`` unless it is None.
-    The class comes from core, since tracing wraps this module's DensityField."""
+def _snapshot(index: int, item, grid: Grid1D | None) -> tuple[float, DensityField]:
+    """The index-th snapshot read, as (t, rho): a pair of a finite real time and a
+    DensityField, on ``grid`` unless it is None; ValueError naming the snapshot
+    otherwise. The class comes from core, since tracing wraps this module's
+    DensityField."""
+    if not (isinstance(item, tuple) and len(item) == 2):
+        raise ValueError(f"snapshot {index} is not a (time, DensityField) pair")
     t, rho = item
-    if not math.isfinite(t):
-        raise ValueError(f"snapshot times must be finite, got t = {t!r}")
+    if not (isinstance(t, (int, float, np.integer, np.floating)) and math.isfinite(t)):
+        raise ValueError(f"snapshot {index}: times must be real and finite, got t = {t!r}")
     if not isinstance(rho, core.DensityField):
-        raise ValueError(f"snapshots must be DensityFields, got {type(rho).__name__}")
+        raise ValueError(f"snapshot {index}: snapshots must be DensityFields, "
+                         f"got {type(rho).__name__}")
     if grid is not None and rho.grid != grid:
-        raise ValueError("snapshots live on different grids")
+        raise ValueError(f"snapshot {index}: snapshots live on different grids")
     return t, rho
 
 
@@ -240,14 +245,16 @@ def stationary_from_transient(rho_sequence: Iterable[tuple[float, DensityField]]
     closed = (isinstance(seq, FokkerPlanckStream) and seq.steps >= seq.grid.n ** 2
               and max(seq.matrix.sub.max(), seq.matrix.super.max()) <= 0.0)
     it = iter(seq)
-    first = next(it, None)
-    if first is None:
-        raise ValueError("empty evolution sequence")
-    if first[0] != 0.0:
-        raise ValueError(f"evolution sequence must start at t = 0, got t = {first[0]!r}")
-    acc, (t_prev, rho_prev), dt_ref = 0.0, _snapshot(first, None), None
+    try:
+        first = next(it)
+    except StopIteration:
+        raise ValueError("empty evolution sequence") from None
+    acc, (t_prev, rho_prev), dt_ref = 0.0, _snapshot(0, first, None), None
+    if t_prev != 0.0:
+        raise ValueError(f"evolution sequence must start at t = 0, got t = {t_prev!r}")
     grid = rho_prev.grid
-    for t, rho in (_snapshot(item, grid) for item in it):
+    for index, item in enumerate(it, 1):
+        t, rho = _snapshot(index, item, grid)
         dt = t - t_prev
         if dt <= 0.0:
             raise ValueError("snapshot times must increase")

@@ -11,18 +11,49 @@ Every solve makes one dgtsv call (_eliminate) and one rank-one correction
 (_sherman_morrison). solve_cyclic_tridiagonal, the certified solve of every
 Newton step, eliminates the block [w, r] in that call;
 factor_cyclic_tridiagonal solves T z = w once for many right-hand sides.
+
+LAPACK is reached through scipy's compiled f2py extension
+scipy.linalg._flapack, loaded from scipy's directory and registered under
+that name, instead of through the scipy.linalg package. That package's init
+pulls in numpy.f2py, numpy.testing, numpy.ma and numpy.random, which doubled
+the start-up time and added about 24 MB of RSS, for a package that calls
+one routine. `import scipy` still runs scipy's own init first, and a later
+`import scipy.linalg` finds the registered module, so the process holds
+one instance of the extension and dgtsv is the same wrapper either way.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy
 
 from .core import ConvergenceError, shift
 
 RESIDUAL_TOL = 1e-12
+
+
+def _load_flapack():
+    """The scipy.linalg._flapack extension, loaded once per process without
+    running the scipy.linalg package init. ImportError when it is missing."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        where = os.path.join(scipy.__path__[0], "linalg")
+        spec = FileFinder(where, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+        if spec is None:
+            raise ImportError(f"scipy's LAPACK extension _flapack not found in {where}")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules.setdefault(name, module)
+    return sys.modules[name]
+
+
+lapack = _load_flapack()
 
 
 @dataclass

@@ -299,6 +299,14 @@ def test_discounted_average_rejections():
     coarse = hv.DensityField(hv.Grid1D(n // 2), uniform.values[::2])
     with pytest.raises(ValueError, match="grids"):
         hv.stationary_from_transient([(0.0, uniform), (0.1, coarse)], 1.0)
+    # anything but a (real time, DensityField) pair is rejected by its index,
+    # the first snapshot included
+    for bad in (("1", uniform), (0.1,), None):
+        with pytest.raises(ValueError, match="snapshot 1"):
+            hv.stationary_from_transient([(0.0, uniform), bad], 1.0)
+    for bad in ((0.0,), ("0", uniform), (0.0, uniform, 0.1)):
+        with pytest.raises(ValueError, match="snapshot 0"):
+            hv.stationary_from_transient([bad, (0.1, uniform)], 1.0)
 
 
 def _half_node_drift(grid, amplitudes):
@@ -315,8 +323,8 @@ def _half_node_drift(grid, amplitudes):
        eps_scale=st.floats(1.0, 8.0), lam=st.floats(0.05, 1.0),
        source=st.floats(0.0, 1.0, exclude_max=True), extra=st.integers(0, 200),
        horizon=st.sampled_from([14.0, 20.0]))
-def test_blocked_average_equals_streamed(n, amplitudes, eps_scale, lam, source, extra,
-                                         horizon):
+def test_closed_form_average_equals_streamed(n, amplitudes, eps_scale, lam, source, extra,
+                                             horizon):
     """Random trigonometric half-node drift at cell Peclet <= 1 and
     dt = T/k with k >= n**2 steps: the closed-form average gives the streamed
     average. At T = 14/lam the unrelaxed tail e^-14 sits just under the
@@ -357,7 +365,7 @@ def step_solves(monkeypatch):
     return calls
 
 
-def test_blocked_and_streamed_routes_reject_alike(step_solves):
+def test_closed_form_and_streamed_routes_reject_alike(step_solves):
     n = 64
     grid = hv.Grid1D(n)
     # cell Peclet 3*h/(2*0.05) = 2.9: the stream from x0 = 3 dips to -7.4e-4
@@ -383,7 +391,7 @@ def test_blocked_and_streamed_routes_reject_alike(step_solves):
                 wrap(hv.evolve_fokker_planck(drift, 0.5, 3, 20.0, 20.0 / 4096)), 0.5)
 
 
-def test_long_streams_take_the_blocked_route(step_solves):
+def test_long_streams_take_the_closed_form(step_solves):
     """Streaming costs one solve per step, the closed form one per step of
     its n-step streamed start plus a fixed few, whatever the step count. A
     stream that has already yielded its t = 0 snapshot is rejected before it

@@ -51,14 +51,59 @@ def test_workload_warmup_passes(name, workloads, tmp_path):
         assert outcome.failed == 0, outcome.problems
 
 
-def test_import_loads_no_heavy_scipy_subpackage():
-    """`import hjvisc` loads scipy.linalg only: integrate, optimize, sparse and
-    special would add about 22 MB of RSS and 0.2-0.3 s to every start."""
+def _fresh(code):
+    """stdout of `code` run by a fresh interpreter on this checkout's src/, with
+    every warning an error."""
     src = str(Path(hv.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
-    code = ("import sys, hjvisc; print(' '.join(m for m in ('scipy.integrate', "
-            "'scipy.optimize', 'scipy.sparse', 'scipy.special') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.split() == []
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    return out.stdout
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    """`import hjvisc` loads scipy's LAPACK extension and not the scipy.linalg
+    package, whose init pulls in numpy.f2py, numpy.testing and numpy.ma (about
+    24 MB of RSS and 0.2 s on every start); integrate, optimize, sparse and
+    special would add about 22 MB more."""
+    heavy = ("scipy.linalg", "numpy.f2py", "numpy.testing", "numpy.ma", "scipy.integrate",
+             "scipy.optimize", "scipy.sparse", "scipy.special")
+    out = _fresh(f"import sys, hjvisc; print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+    assert out.split() == []
+
+
+def _first_newton_step():
+    """The first certified solve of a pendulum Newton chain, at n = 2048: the
+    sha256 of its solution."""
+    import hashlib
+
+    steps = []
+    certified = hv.tridiag.solve_cyclic_tridiagonal
+
+    def capture(matrix, rhs):
+        steps.append((matrix, rhs))
+        return certified(matrix, rhs)
+
+    hv.viscous.solve_cyclic_tridiagonal = capture
+    try:
+        hv.solve_viscous(hv.pendulum_hamiltonian(), 1e-2, 1e-2 ** 1.6, hv.Grid1D(2048))
+    finally:
+        hv.viscous.solve_cyclic_tridiagonal = certified
+    return hashlib.sha256(certified(*steps[0]).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("first, second", [("scipy.linalg", "hjvisc"),
+                                           ("hjvisc", "scipy.linalg")])
+def test_either_import_order_shares_one_dgtsv(first, second):
+    """Whichever of hjvisc and scipy.linalg a fresh process imports first, both
+    hold the one scipy.linalg._flapack module, and a certified solve keeps its
+    bits."""
+    import inspect
+
+    code = "\n".join([f"import {first}", f"import {second}", "import sys",
+                       "import hjvisc as hv", inspect.getsource(_first_newton_step),
+                       "print(hv.tridiag.lapack.dgtsv is scipy.linalg.lapack.dgtsv,",
+                       "      hv.tridiag.lapack is sys.modules['scipy.linalg._flapack'],",
+                       "      _first_newton_step())"])
+    assert _fresh(code).split() == ["True", "True", _first_newton_step()]

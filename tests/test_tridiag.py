@@ -1,6 +1,8 @@
 """Cyclic tridiagonal solver: oracle comparisons and the residual certificate."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -134,20 +136,33 @@ def test_singular_laplacian_with_consistent_rhs_is_rejected():
 
 
 def test_no_module_uses_scipy_sparse():
-    # every banded solve goes through one LAPACK dgtsv call in tridiag.py
+    # every banded solve goes through one LAPACK dgtsv call in tridiag.py, the
+    # one module that imports scipy and reaches its LAPACK extension
     src = Path(hv.__file__).parent
     users = [p.name for p in sorted(src.glob("*.py")) if "scipy.sparse" in p.read_text()]
     assert users == []
     importers = [p.name for p in sorted(src.glob("*.py"))
                  for node in ast.walk(ast.parse(p.read_text()))
                  if isinstance(node, (ast.Import, ast.ImportFrom))
-                 and "lapack" in ast.unparse(node)]
+                 and "scipy" in ast.unparse(node)]
     assert importers == ["tridiag.py"]
+    reachers = [p.name for p in sorted(src.glob("*.py")) if "lapack" in p.read_text().lower()]
+    assert reachers == ["tridiag.py"]
+    assert hv.tridiag.lapack.__name__ == "scipy.linalg._flapack"
     tree = ast.parse((src / "tridiag.py").read_text())
-    routines = [node.func.attr for node in ast.walk(tree) if isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name) and node.func.value.id == "lapack"]
+    routines = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name) and node.value.id == "lapack"]
     assert routines == ["dgtsv"]
+
+
+def test_missing_lapack_extension_raises_import_error(monkeypatch, tmp_path):
+    # no fallback to the scipy.linalg package: the error names the directory searched
+    import scipy
+
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    with pytest.raises(ImportError, match=re.escape(str(tmp_path / "linalg"))):
+        hv.tridiag._load_flapack()
 
 
 def test_stencils_wrap_only_through_core_and_modules_share_only_public_names():
