@@ -19,11 +19,11 @@ The same operator drives the Fokker-Planck evolution
 
 stepped by implicit Euler (mass-exact), and theta is recovered from it by the
 discounted time average lim_T int_0^T lambda*exp(-lambda*t) rho(., t) dt.
-The step matrix S = I + dt*G is constant, so past its first n steps a long
+The step matrix S = I + dt*G is constant, so past its first step a long
 stream is averaged in closed form: a geometric sum of the propagator
 P = S^-1, one cyclic tridiagonal solve with S - e^{-lambda dt} I, plus the
-unrelaxed tail taken from binary powers of the dense P (O(n^3 log steps)
-work in BLAS products).
+unrelaxed tail taken from binary powers of the dense P, squared until a
+power is rank one (at most O(n^3 log steps) work in BLAS products).
 """
 
 from __future__ import annotations
@@ -42,6 +42,11 @@ from .viscous import drift_diffusion_bands, viscous_jacobian
 
 NEGATIVITY_REJECT = -1e-8
 _CHUNK = 32  # identity columns stepped at once: keeps the build's temporaries small
+_RANK_ONE_SPREAD = 64 * np.finfo(float).eps  # row spread of a power taken as rank one
+_SERIES_BELOW = 0.5  # lam*dt below which the trapezoid weight c_b is summed as a series
+# its coefficients (-1)^(m+1) m/(m+1)!, m = 16..1 for Horner: the first term left
+# out is under 1e-17 of c_b at lam*dt = 1/2
+_SERIES = tuple((-1) ** (m + 1) * m / math.factorial(m + 1) for m in range(16, 0, -1))
 
 
 def drift_field(model: HamiltonianModel, u: ScalarField) -> ScalarField:
@@ -149,12 +154,31 @@ def evolve_fokker_planck(drift: ScalarField, eps: float, x0_index: int,
 def _trapezoid_weights(lam: float, dt: float) -> tuple[float, float]:
     """int_0^dt lam e^{-lam s} (1 - s/dt) ds and the mirrored weight: the
     product-trapezoid weights (c_a, c_b) of a step's two end snapshots.
-    1 - e^{-lam dt} comes from expm1, not from the rounded e^{-lam dt}, so
-    c_a + c_b is 1 - e^{-lam dt} to roundoff."""
-    e = math.exp(-lam * dt)
-    one_minus_e = -math.expm1(-lam * dt)
-    coef_b = one_minus_e / (lam * dt) - e
+    With x = lam dt, c_b = (1 - e^{-x})/x - e^{-x} = sum_{m>=1} (-1)^(m+1)
+    x^m m/(m+1)!; below x = 1/2 it is summed from the series, whose terms
+    are all small, rather than as a difference of two numbers near 1.
+    1 - e^{-x} comes from expm1, not from the rounded e^{-x}, so c_a + c_b
+    is 1 - e^{-x} to roundoff."""
+    x = lam * dt
+    one_minus_e = -math.expm1(-x)
+    if x < _SERIES_BELOW:
+        coef_b = 0.0
+        for c in _SERIES:
+            coef_b = coef_b * x + c
+        coef_b *= x
+    else:
+        coef_b = one_minus_e / x - math.exp(-x)
     return one_minus_e - coef_b, coef_b
+
+
+def _is_rank_one(power: np.ndarray) -> bool:
+    """Whether the columns of a nonnegative power agree to within
+    _RANK_ONE_SPREAD of its largest entry. Two columns are compared first,
+    in O(n), so that a power still far from rank one costs no full pass."""
+    a, b = power[:, 0], power[:, power.shape[1] // 2]
+    if np.abs(a - b).max() > _RANK_ONE_SPREAD * max(a.max(), b.max()):
+        return False
+    return bool(np.ptp(power, axis=1).max() <= _RANK_ONE_SPREAD * power.max())
 
 
 def _closed_form(stream: FokkerPlanckStream, lam: float):
@@ -166,9 +190,13 @@ def _closed_form(stream: FokkerPlanckStream, lam: float):
     c_b rho_{i+1}) is (c_a I + c_b P)(I - qP)^-1 (rho_0 - q^k rho_k), and
     (I - qP)^-1 v = (S - qI)^-1 S v. rho_k applies the binary powers of P,
     stepped from the identity in column chunks and squared into one spare
-    buffer. S - qI is within 1 - q of singular along the invariant density,
-    where the solve's roundoff grows by 1/(1 - q); the mass sum(v)/(1 - q)
-    that a column-stochastic P fixes is restored along rho_k.
+    buffer. Squaring stops at the first power M whose columns agree
+    (_is_rank_one): P is column-stochastic and nonnegative, so every column
+    of a higher power is a convex combination of M's columns, and M rho
+    stands for the rest of the powers to within M's row spread times
+    ||rho||_1. S - qI is within 1 - q of singular along the invariant
+    density, where the solve's roundoff grows by 1/(1 - q); the mass
+    sum(v)/(1 - q) that a column-stochastic P fixes is restored along rho_k.
     """
     grid, matrix, step, dt = stream.grid, stream.matrix, stream.step, stream.dt
     n, k = grid.n, stream.steps - 1 - stream._k
@@ -183,6 +211,8 @@ def _closed_form(stream: FokkerPlanckStream, lam: float):
         if bits:
             np.matmul(power, power, out=spare)
             power, spare = spare, power
+            if _is_rank_one(power):
+                rho, bits = power @ rho, 0
     field = DensityField(grid, rho)
 
     q = math.exp(-lam * dt)
@@ -227,15 +257,14 @@ def stationary_from_transient(rho_sequence: Iterable[tuple[float, DensityField]]
     roughly 14/lambda) is rejected as too short to truncate.
 
     A FokkerPlanckStream of at least n**2 steps, read from t = 0, whose step
-    matrix S has no positive off-diagonal is streamed for its first n steps
-    and its last one, and averaged in closed form in between (_closed_form);
-    any other sequence is streamed snapshot by snapshot. The first n steps
-    carry the Dirac's spike: streaming them sums it as a streamed sequence
-    does, so at nodes only the spike reaches (the source node, where the
-    criterion 06 gap is attained) the two routes often agree to the last
-    bit, and perfbench compares their gaps exactly. Such an S is an M-matrix
-    with unit column sums (Varga, "Matrix Iterative Analysis", 1962), so
-    P = S^-1 is nonnegative and column-stochastic: every snapshot the closed
+    matrix S has no positive off-diagonal is streamed for its first step,
+    which fixes dt and the weights, and its last one, and averaged in closed
+    form in between (_closed_form); any other sequence is streamed snapshot
+    by snapshot. The two routes agree to roundoff, not bit for bit: the
+    same stream wrapped in a generator can give a criterion 06 gap that
+    differs in its last bits. Such an S is an M-matrix with unit column
+    sums (Varga, "Matrix Iterative Analysis", 1962), so P = S^-1 is
+    nonnegative and column-stochastic: every snapshot the closed
     form skips is a density up to roundoff and would pass DensityField's
     checks. The snapshot it stops at and the average are still checked.
     """
@@ -266,7 +295,7 @@ def stationary_from_transient(rho_sequence: Iterable[tuple[float, DensityField]]
         w = math.exp(-lam * t_prev)
         acc += (w * coef_a) * rho_prev.values + (w * coef_b) * rho.values
         t_prev, rho_prev = t, rho
-        if closed and seq._k == seq.grid.n:
+        if closed and seq._k == 1:
             jump, (t_prev, rho_prev) = _closed_form(seq, lam)
             acc += math.exp(-lam * t) * jump
     if dt_ref is None:

@@ -1,5 +1,6 @@
 """Stationary adjoint density, Fokker-Planck evolution, and diagnostics."""
 
+import decimal
 import itertools
 import math
 
@@ -392,23 +393,18 @@ def test_closed_form_and_streamed_routes_reject_alike(step_solves):
 
 
 def test_long_streams_take_the_closed_form(step_solves):
-    """Streaming costs one solve per step, the closed form one per step of
-    its n-step streamed start plus a fixed few, whatever the step count. A
-    stream that has already yielded its t = 0 snapshot is rejected before it
-    is stepped further."""
+    """Streaming costs one solve per step, the closed form a fixed four at
+    n = 32, whatever the step count: its one streamed first step, the one
+    chunk of n/32 identity columns stepped into P, one step of the
+    average, and the streamed last step. A stream that has already yielded
+    its t = 0 snapshot is rejected before it is stepped further."""
     n, lam, t_final = 32, 0.5, 40.0
     drift = _half_node_drift(hv.Grid1D(n), [(0.3, 0.5)])
-    counts = {}
     for steps in (n * n - 1, n * n, 3 * n * n + 5):
         step_solves.clear()
         hv.stationary_from_transient(
             hv.evolve_fokker_planck(drift, 0.5, 0, t_final, t_final / steps), lam)
-        counts[steps] = len(step_solves)
-        if steps >= n * n:
-            assert len(step_solves) <= steps / 4, (steps, len(step_solves))
-        else:
-            assert len(step_solves) == steps
-    assert counts[n * n] == counts[3 * n * n + 5], counts
+        assert len(step_solves) == (steps if steps < n * n else 4), (steps, len(step_solves))
 
     started = hv.evolve_fokker_planck(drift, 0.5, 0, t_final, t_final / (n * n))
     next(started)
@@ -417,6 +413,43 @@ def test_long_streams_take_the_closed_form(step_solves):
     with pytest.raises(ValueError, match="t = 0"):
         hv.stationary_from_transient(started, lam)
     assert len(step_solves) <= 1
+
+
+def test_closed_form_stops_squaring_at_rank_one(monkeypatch):
+    """The closed form squares P until a power is rank one and applies that
+    power for all higher ones. A fast-mixing stream stops squaring early, a
+    zero-drift stream at small eps never reaches rank one; both give the
+    streamed average."""
+    checks = []
+    is_rank_one = hv.adjoint._is_rank_one
+
+    def recording(power):
+        checks.append(is_rank_one(power))
+        return checks[-1]
+
+    monkeypatch.setattr(hv.adjoint, "_is_rank_one", recording)
+    n = 32
+    grid = hv.Grid1D(n)
+    for amplitudes, eps, lam, stops in (([(0.3, 0.5)], 0.5, 0.02, True),
+                                        ([(0.0, 0.0)], 0.01, 0.5, False)):
+        drift, t_final = _half_node_drift(grid, amplitudes), 20.0 / lam
+        for steps in (n * n, 3 * n * n + 5):
+            def stream():
+                return hv.evolve_fokker_planck(drift, eps, 3, t_final, t_final / steps)
+
+            checks.clear()
+            closed = hv.stationary_from_transient(stream(), lam)
+            # the closed form spans steps - 2 steps: one squaring per binary digit
+            # after the leading one, each checked until one is rank one
+            squarings = (steps - 2).bit_length() - 1
+            if stops:
+                assert len(checks) < squarings and checks[-1], (steps, checks)
+            else:
+                assert checks == [False] * squarings, (steps, checks)
+            streamed = hv.stationary_from_transient((x for x in stream()), lam)
+            rel = np.max(np.abs(closed.values - streamed.values)) / np.max(streamed.values)
+            assert rel <= 1e-11, (steps, rel)
+            assert abs(grid.h * float(closed.values.sum()) - 1.0) <= 1e-12
 
 
 def test_transient_average_matches_stationary(transient_pair):
@@ -486,3 +519,21 @@ def test_trapezoid_weights_sum_to_one_minus_discount():
         exact = -math.expm1(-lam * dt)
         assert abs((coef_a + coef_b) - exact) <= 2.0 * math.ulp(exact), x
         assert coef_a > 0.0 and coef_b > 0.0
+
+
+def test_trapezoid_weights_match_50_digit_integrals():
+    """Each weight alone, not only their sum, is within 1e-15 relative of its
+    integral in 50-digit decimal arithmetic: c_b = (1 - e^-x)/x - e^-x
+    loses ulp(1)/x to cancellation when formed as written, 1.4e-7 relative
+    at x = lam*dt = 1e-9. The perfbench adjoint stream has x = 6.1e-5."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        for x in (1e-9, 6.1e-5, 2.45e-2, 1.0):
+            coef_a, coef_b = hv.adjoint._trapezoid_weights(x, 1.0)
+            big_x = decimal.Decimal(x)
+            e = (-big_x).exp()
+            exact_b = (1 - e * (1 + big_x)) / big_x
+            exact_a = (1 - e) - exact_b
+            for got, exact in ((coef_a, exact_a), (coef_b, exact_b)):
+                rel = abs(decimal.Decimal(got) - exact) / exact
+                assert rel <= decimal.Decimal("1e-15"), (x, float(rel))
